@@ -134,17 +134,18 @@ fi
 grep -q "cannot resume" "$CK_DIR/err.log"
 ! grep -q "panicked" "$CK_DIR/err.log"
 
-echo "== bench snapshot (BENCH_pr10.json) =="
+echo "== bench snapshot (target/bench_snapshot.json) =="
+# Written under target/, never over a committed BENCH_pr*.json artifact.
 cargo run --release -q -p qmc-bench --bin bench_snapshot -- \
-    --threads 2 --walkers 4 --steps 4 --reps 2 > BENCH_pr10.json
-grep -q '"schema":"qmc-bench-snapshot/2"' BENCH_pr10.json
+    --threads 2 --walkers 4 --steps 4 --reps 2 > target/bench_snapshot.json
+grep -q '"schema":"qmc-bench-snapshot/2"' target/bench_snapshot.json
 # The crowd run must exercise the fused multi-walker spline kernel: a
 # zero `Bspline-mw-vgl` column means the batched path silently fell back.
 python3 - <<'EOF'
 import json
-doc = json.load(open("BENCH_pr10.json"))
+doc = json.load(open("target/bench_snapshot.json"))
 crowd = [r for r in doc["runs"] if r["batching"] == "crowd"]
-assert crowd, "no crowd-batched run in BENCH_pr10.json"
+assert crowd, "no crowd-batched run in the snapshot"
 mw = crowd[0]["kernels"]["Bspline-mw-vgl"]
 assert mw > 0.0, f"Bspline-mw-vgl is {mw}: the crowd run did not drive the batched kernel"
 print(f"ci: crowd Bspline-mw-vgl = {mw:.4f}s (nonzero, batched path live)")
@@ -179,7 +180,7 @@ EOF
 rm -f CROWD_GATE.json
 
 echo "== bench series gate (vs previous PR snapshot) =="
-cargo run --release -q -p qmc-bench --bin bench_compare -- BENCH_pr9.json BENCH_pr10.json
+cargo run --release -q -p qmc-bench --bin bench_compare -- BENCH_pr9.json target/bench_snapshot.json
 
 echo "== bench smoke (crowd kernels) =="
 cargo bench -p qmc-bench --bench bench_crowd -- --test

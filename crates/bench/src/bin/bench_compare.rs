@@ -13,6 +13,8 @@
 //! by more than the tolerance, the tool exits 1 and CI fails. New
 //! (unmatched) runs — e.g. the explicit-backend sweep the snapshot grew —
 //! are reported but not gated until the next PR gives them a baseline.
+//! `Ref`/`Ref+MP` runs are always keyed to the `reference` backend they
+//! ran on, so snapshots that labelled them `soa` still gate them.
 //!
 //! The tolerance defaults to 15% and can be overridden for noisy CI hosts
 //! via `QMC_BENCH_TOLERANCE_PCT` (e.g. `QMC_BENCH_TOLERANCE_PCT=50`).
@@ -38,17 +40,23 @@ fn kernel_total(run: &JsonValue) -> f64 {
 
 /// Match key for a run: `code/batching/backend`, batching defaulting to
 /// `per-walker` for schema-1 snapshots and the backend to `soa` for
-/// snapshots that predate the explicit-backend sweep.
+/// snapshots that predate the explicit-backend sweep. The AoS codes
+/// (`Ref`, `Ref+MP`) always ran on the reference kernels; older snapshots
+/// labelled them with the global backend instead, so their key is
+/// `reference` whatever label is stored.
 fn run_key(run: &JsonValue) -> String {
     let code = run.get("code").and_then(JsonValue::as_str).unwrap_or("?");
     let batching = run
         .get("batching")
         .and_then(JsonValue::as_str)
         .unwrap_or("per-walker");
-    let backend = run
-        .get("kernel_backend")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("soa");
+    let backend = if matches!(code, "Ref" | "Ref+MP") {
+        "reference"
+    } else {
+        run.get("kernel_backend")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("soa")
+    };
     format!("{code}/{batching}/{backend}")
 }
 
@@ -117,5 +125,33 @@ fn main() {
              (override with QMC_BENCH_TOLERANCE_PCT for noisy hosts)"
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(json: &str) -> String {
+        run_key(&parse(json).unwrap())
+    }
+
+    #[test]
+    fn legacy_ref_label_matches_the_reference_backend() {
+        let legacy = key(r#"{"code":"Ref","batching":"per-walker","kernel_backend":"soa"}"#);
+        let labelled =
+            key(r#"{"code":"Ref","batching":"per-walker","kernel_backend":"reference"}"#);
+        assert_eq!(legacy, "Ref/per-walker/reference");
+        assert_eq!(legacy, labelled);
+        assert_eq!(key(r#"{"code":"Ref+MP"}"#), "Ref+MP/per-walker/reference");
+    }
+
+    #[test]
+    fn current_runs_keep_their_stored_backend() {
+        assert_eq!(
+            key(r#"{"code":"Current","batching":"crowd","kernel_backend":"simd"}"#),
+            "Current/crowd/simd"
+        );
+        assert_eq!(key(r#"{"code":"Current"}"#), "Current/per-walker/soa");
     }
 }

@@ -183,12 +183,13 @@ impl NonLocalPP {
                     dirs[k] = rotate(rot, *q);
                     newpos[k] = (self.ion_pos[a] + dirs[k] * r).cast();
                 }
-                // ... then evaluate every quadrature ratio through the
-                // batched value-only path: determinants share one
+                // ... then evaluate every quadrature ratio as one
+                // virtual-particle batch: determinants share one
                 // Bspline-v dispatch and one inverse-row extraction for
-                // all points, Jastrows fall back to per-point candidate
-                // rows. Bitwise identical to the per-point
-                // make_move/calc_ratio/reject loop.
+                // all points, and the SoA Jastrows read all points'
+                // distance rows from one `virtual_dists` call per table
+                // (one DistTable and one J1/J2 scope per pair). Every
+                // factor is bitwise identical to its per-point ratio.
                 psi.calc_ratios_v(p, i, &newpos, &mut ratios);
                 channel_sums[..sp.channels.len()].fill(0.0);
                 for (k, dir) in dirs.iter().enumerate() {

@@ -5,9 +5,15 @@
 //! time and call counts into thread-local slots; worker threads drain their
 //! local profile into a shared one at block boundaries, so the timing path
 //! itself is lock-free and cheap.
+//!
+//! A timed scope costs two reads of the timestamp counter (`rdtsc` on
+//! `x86_64`, `Instant` elsewhere) and plain adds into `const`-initialised
+//! thread-local cells. Ticks become nanoseconds only at
+//! [`drain_thread_profile`], from the ratio of elapsed `Instant` time to
+//! elapsed ticks since one process-wide anchor taken at first use, so no
+//! calibration loop ever runs inside a timed run.
 
-use std::cell::RefCell;
-use std::time::Instant;
+use std::cell::Cell;
 
 /// Hot-spot categories used in the paper's profiles (Fig. 2 and Fig. 7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -253,22 +259,49 @@ impl ProfileSet {
     }
 }
 
+/// One kernel's thread-local accumulators; `ticks` are raw clock ticks,
+/// converted to nanoseconds when the thread's profile is drained.
+struct Slot {
+    ticks: Cell<u64>,
+    calls: Cell<u64>,
+    flops: Cell<u64>,
+    bytes: Cell<u64>,
+}
+
+impl Slot {
+    const fn new() -> Self {
+        Self {
+            ticks: Cell::new(0),
+            calls: Cell::new(0),
+            flops: Cell::new(0),
+            bytes: Cell::new(0),
+        }
+    }
+}
+
 thread_local! {
-    static LOCAL: RefCell<Profile> = RefCell::new(Profile::default());
+    static LOCAL: [Slot; NUM_KERNELS] = const { [const { Slot::new() }; NUM_KERNELS] };
+}
+
+#[inline]
+fn bump(c: &Cell<u64>, by: u64) {
+    c.set(c.get() + by);
 }
 
 /// Times the closure under kernel `k`, accumulating into the thread-local
 /// profile.
 #[inline]
 pub fn time_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
+    clock::anchor();
+    let start = clock::ticks();
     let r = f();
-    let nanos = start.elapsed().as_nanos() as u64;
-    LOCAL.with(|p| {
-        let mut p = p.borrow_mut();
-        let s = p.get_mut(k);
-        s.nanos += nanos;
-        s.calls += 1;
+    // Saturating: a thread migrated to a core whose counter lags records
+    // zero rather than a wrapped-around eternity.
+    let ticks = clock::ticks().saturating_sub(start);
+    LOCAL.with(|slots| {
+        let s = &slots[k as usize];
+        bump(&s.ticks, ticks);
+        bump(&s.calls, 1);
     });
     r
 }
@@ -276,11 +309,10 @@ pub fn time_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
 /// Records model-counted FLOPs and bytes for kernel `k` (no timing).
 #[inline]
 pub fn add_flops_bytes(k: Kernel, flops: u64, bytes: u64) {
-    LOCAL.with(|p| {
-        let mut p = p.borrow_mut();
-        let s = p.get_mut(k);
-        s.flops += flops;
-        s.bytes += bytes;
+    LOCAL.with(|slots| {
+        let s = &slots[k as usize];
+        bump(&s.flops, flops);
+        bump(&s.bytes, bytes);
     });
 }
 
@@ -288,7 +320,93 @@ pub fn add_flops_bytes(k: Kernel, flops: u64, bytes: u64) {
 /// thread calls this at the end of its walker block and merges the result
 /// into a shared profile.
 pub fn drain_thread_profile() -> Profile {
-    LOCAL.with(|p| std::mem::take(&mut *p.borrow_mut()))
+    let ns_per_tick = clock::ns_per_tick();
+    LOCAL.with(|slots| {
+        let mut p = Profile::default();
+        for (s, out) in slots.iter().zip(p.stats.iter_mut()) {
+            *out = KernelStats {
+                nanos: (s.ticks.take() as f64 * ns_per_tick).round() as u64,
+                calls: s.calls.take(),
+                flops: s.flops.take(),
+                bytes: s.bytes.take(),
+            };
+        }
+        p
+    })
+}
+
+/// The timestamp counter: a constant-rate tick on every `x86_64` the
+/// kernels target, read in a few cycles without a system call.
+#[cfg(target_arch = "x86_64")]
+mod clock {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    /// `(Instant, ticks)` taken together the first time a scope is timed
+    /// (or a profile drained).
+    static ANCHOR: OnceLock<(Instant, u64)> = OnceLock::new();
+
+    #[inline]
+    pub(super) fn ticks() -> u64 {
+        // SAFETY: `rdtsc` only reads the timestamp counter; it has no
+        // memory operands and no preconditions.
+        unsafe { core::arch::x86_64::_rdtsc() }
+    }
+
+    /// An `Instant` and the tick count at the same moment: the midpoint
+    /// of the ticks read around the `Instant`, keeping the tightest of
+    /// three reads (a preempted read brackets a wide gap).
+    fn paired_read() -> (Instant, u64) {
+        let mut best = (Instant::now(), 0, u64::MAX);
+        for _ in 0..3 {
+            let t0 = ticks();
+            let now = Instant::now();
+            let t1 = ticks();
+            let gap = t1.saturating_sub(t0);
+            if gap < best.2 {
+                best = (now, t0 + gap / 2, gap);
+            }
+        }
+        (best.0, best.1)
+    }
+
+    #[inline]
+    pub(super) fn anchor() {
+        ANCHOR.get_or_init(paired_read);
+    }
+
+    /// Nanoseconds per tick over the interval since the anchor.
+    pub(super) fn ns_per_tick() -> f64 {
+        let &(i0, t0) = ANCHOR.get_or_init(paired_read);
+        let (i1, t1) = paired_read();
+        let dt = t1.saturating_sub(t0);
+        if dt == 0 {
+            return 0.0; // nothing can have been timed since the anchor
+        }
+        i1.duration_since(i0).as_nanos() as f64 / dt as f64
+    }
+}
+
+/// Portable fallback: ticks are `Instant` nanoseconds since a process-wide
+/// base.
+#[cfg(not(target_arch = "x86_64"))]
+mod clock {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    static BASE: OnceLock<Instant> = OnceLock::new();
+
+    #[inline]
+    pub(super) fn ticks() -> u64 {
+        BASE.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+
+    #[inline]
+    pub(super) fn anchor() {}
+
+    pub(super) fn ns_per_tick() -> f64 {
+        1.0
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +432,26 @@ mod tests {
         // Drained: second drain is empty.
         let p2 = drain_thread_profile();
         assert_eq!(p2.get(Kernel::J2).calls, 0);
+    }
+
+    #[test]
+    fn tick_clock_tracks_instant() {
+        drain_thread_profile();
+        // The reference interval is taken inside the timed scope, so
+        // preemption around the scope cannot widen it.
+        let wall = time_kernel(Kernel::J1, || {
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_millis(20) {
+                std::hint::spin_loop();
+            }
+            start.elapsed().as_nanos() as f64
+        });
+        let timed = drain_thread_profile().get(Kernel::J1).nanos as f64;
+        let rel = (timed - wall).abs() / wall;
+        assert!(
+            rel < 0.02,
+            "timed {timed} ns vs Instant {wall} ns ({rel:.4})"
+        );
     }
 
     #[test]

@@ -189,7 +189,7 @@ fn main() {
     say!(
         "code = {}, backend = {}, threads = {}, walkers = {}, steps = {} (+{} warmup), tau = {}, batching = {}",
         code.label(),
-        qmc_kernels::Backend::current(),
+        code.kernel_backend(),
         cfg.threads,
         cfg.walkers,
         cfg.steps,
@@ -238,7 +238,7 @@ fn main() {
             "dmc",
             workload.spec.name,
             &code.label(),
-            qmc_kernels::Backend::current().label(),
+            code.kernel_backend().label(),
             cfg.threads,
             cfg.walkers,
             cfg.steps,
@@ -411,7 +411,7 @@ fn run_vmc_mode(
                     "vmc",
                     workload.spec.name,
                     &code.label(),
-                    qmc_kernels::Backend::current().label(),
+                    code.kernel_backend().label(),
                     1,
                     cfg.walkers,
                     params.blocks,

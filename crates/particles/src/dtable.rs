@@ -445,6 +445,50 @@ impl<T: Real> DistTableAASoA<T> {
         );
     }
 
+    /// Virtual-particle rows for the NLPP quadrature: the candidate row of
+    /// `iat` moved to each of `positions`, written to
+    /// `out[q * stride..q * stride + n]` under **one** timer scope. Each
+    /// row is the same `compute_row` call (and self-distance sentinel) as
+    /// [`Self::move_candidate`] at that position, so it is bitwise equal
+    /// to `temp_dist`; the table's own candidate row is left untouched.
+    /// `disp` is one padded row of scratch per component (the
+    /// displacements are not kept).
+    pub fn virtual_dists(
+        &self,
+        rsoa: &VectorSoaContainer<T, 3>,
+        iat: usize,
+        positions: &[Pos<T>],
+        out: &mut [T],
+        stride: usize,
+        disp: [&mut [T]; 3],
+    ) {
+        let n = self.n;
+        let nq = positions.len();
+        assert!(stride >= n && out.len() >= nq * stride);
+        let [a, b, c] = disp;
+        time_kernel(Kernel::DistTableAA, || {
+            for (q, &pos) in positions.iter().enumerate() {
+                let d = &mut out[q * stride..q * stride + n];
+                compute_row(
+                    self.backend,
+                    &self.lattice,
+                    rsoa,
+                    pos,
+                    n,
+                    d,
+                    [&mut a[..n], &mut b[..n], &mut c[..n]],
+                );
+                d[iat] = T::from_f64(f64::MAX);
+            }
+        });
+        let total = (nq * n) as u64;
+        add_flops_bytes(
+            Kernel::DistTableAA,
+            18 * total,
+            7 * std::mem::size_of::<T>() as u64 * total,
+        );
+    }
+
     /// Forward update (Fig. 6(b)): the accepted candidate row is copied into
     /// the aligned row storage; columns are *not* touched.
     pub fn accept(&mut self, iat: usize) {
@@ -919,6 +963,44 @@ impl<T: Real> DistTableABSoA<T> {
         );
     }
 
+    /// Virtual-particle electron-ion rows for the NLPP quadrature: the
+    /// candidate row for each of `positions`, written to
+    /// `out[q * stride..q * stride + nion]` under **one** timer scope.
+    /// Each row is the same `compute_row` call as [`Self::move_candidate`]
+    /// at that position (bitwise equal to `temp_dist`); `disp` is one
+    /// padded row of scratch per component.
+    pub fn virtual_dists(
+        &self,
+        positions: &[Pos<T>],
+        out: &mut [T],
+        stride: usize,
+        disp: [&mut [T]; 3],
+    ) {
+        let nion = self.nion;
+        let nq = positions.len();
+        assert!(stride >= nion && out.len() >= nq * stride);
+        let [a, b, c] = disp;
+        time_kernel(Kernel::DistTableAB, || {
+            for (q, &pos) in positions.iter().enumerate() {
+                compute_row(
+                    self.backend,
+                    &self.lattice,
+                    &self.ions_soa,
+                    pos,
+                    nion,
+                    &mut out[q * stride..q * stride + nion],
+                    [&mut a[..nion], &mut b[..nion], &mut c[..nion]],
+                );
+            }
+        });
+        let total = (nq * nion) as u64;
+        add_flops_bytes(
+            Kernel::DistTableAB,
+            18 * total,
+            7 * std::mem::size_of::<T>() as u64 * total,
+        );
+    }
+
     /// Forward update: contiguous row copy.
     pub fn accept(&mut self, iat: usize) {
         time_kernel(Kernel::DistTableAB, || {
@@ -1120,6 +1202,45 @@ mod tests {
         tref.accept(3);
         tsoa.accept(3);
         assert!((tref.dist(3, 0) - tsoa.dist_row(3)[0]).abs() < 1e-12);
+    }
+
+    #[test]
+    fn virtual_rows_bitwise_match_move_candidate() {
+        let l = 7.5;
+        let lat = CrystalLattice::<f64>::cubic(l);
+        let (n, iat) = (12, 4);
+        let r = positions(n, l, 17);
+        let rsoa = soa_of(&r);
+        let ions = positions(5, l, 23);
+        // A point on top of another electron and one on top of an ion.
+        let pts = [TinyVector([0.3, 6.1, 2.2]), r[7], ions[2]];
+        let stride = qmc_containers::padded_len::<f64>(n);
+        let mut out = vec![0.0; pts.len() * stride];
+        let (mut sx, mut sy, mut sz) = (vec![0.0; stride], vec![0.0; stride], vec![0.0; stride]);
+        let mut aa = DistTableAASoA::new(n, lat.clone());
+        aa.evaluate(&rsoa);
+        aa.virtual_dists(
+            &rsoa,
+            iat,
+            &pts,
+            &mut out,
+            stride,
+            [&mut sx, &mut sy, &mut sz],
+        );
+        let mut ab = DistTableABSoA::new(n, &ions, lat);
+        ab.evaluate(&rsoa);
+        let sab = qmc_containers::padded_len::<f64>(5);
+        let mut out_ab = vec![0.0; pts.len() * sab];
+        ab.virtual_dists(&pts, &mut out_ab, sab, [&mut sx, &mut sy, &mut sz]);
+        for (q, &pos) in pts.iter().enumerate() {
+            aa.move_candidate(&rsoa, iat, pos);
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out[q * stride..q * stride + n]), bits(aa.temp_dist()));
+            ab.move_candidate(iat, pos);
+            assert_eq!(bits(&out_ab[q * sab..q * sab + 5]), bits(ab.temp_dist()));
+        }
+        assert_eq!(out[stride + 7], 0.0, "point on electron 7");
+        assert_eq!(out_ab[2 * sab + 2], 0.0, "point on ion 2");
     }
 
     #[test]

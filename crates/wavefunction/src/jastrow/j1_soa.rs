@@ -3,20 +3,19 @@
 //! Keeps only per-electron accumulators; ions never move, so acceptance
 //! touches a single electron's entries (no neighbour forward updates).
 
-use super::{evaluate_v_batch, evaluate_vgl_batch};
+use super::{evaluate_v_batch, evaluate_vgl_batch, VirtualRows};
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;
 use qmc_bspline::CubicBspline1D;
 use qmc_containers::{padded_len, AlignedVec, Pos, Real, TinyVector, VectorSoaContainer};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
-use qmc_particles::ParticleSet;
+use qmc_particles::{DistTable, ParticleSet};
 
 /// Optimized (SoA, compute-on-the-fly) one-body Jastrow factor.
 pub struct J1Soa<T: Real> {
     table: usize,
     functors: Vec<CubicBspline1D<T>>,
     ion_groups: Vec<std::ops::Range<usize>>,
-    n: usize,
     nion: usize,
     vat: AlignedVec<T>,
     gat: VectorSoaContainer<T, 3>,
@@ -24,6 +23,8 @@ pub struct J1Soa<T: Real> {
     cur_u: AlignedVec<T>,
     cur_dud: AlignedVec<T>,
     cur_lap: AlignedVec<T>,
+    /// Scratch rows of the NLPP virtual-particle path.
+    virt: VirtualRows<T>,
     cur_vat: f64,
     cur_has_grad: bool,
     log_value: f64,
@@ -48,7 +49,6 @@ impl<T: Real> J1Soa<T> {
             ion_groups: (0..ions.num_groups())
                 .map(|g| ions.group_range(g))
                 .collect(),
-            n,
             nion,
             vat: AlignedVec::zeros(n),
             gat: VectorSoaContainer::new(n),
@@ -56,6 +56,7 @@ impl<T: Real> J1Soa<T> {
             cur_u: AlignedVec::zeros(np),
             cur_dud: AlignedVec::zeros(np),
             cur_lap: AlignedVec::zeros(np),
+            virt: VirtualRows::new(),
             cur_vat: 0.0,
             cur_has_grad: false,
             log_value: 0.0,
@@ -85,20 +86,15 @@ impl<T: Real> J1Soa<T> {
         let _ = nion;
     }
 
-    fn batch_v(&mut self, dists: &[T]) {
-        let Self {
-            functors,
-            ion_groups,
-            cur_u,
-            ..
-        } = self;
+    fn batch_v(
+        functors: &[CubicBspline1D<T>],
+        ion_groups: &[std::ops::Range<usize>],
+        dists: &[T],
+        u: &mut [T],
+    ) {
         for (g, r) in ion_groups.iter().enumerate() {
             let (lo, hi) = (r.start, r.end);
-            evaluate_v_batch(
-                &functors[g],
-                &dists[lo..hi],
-                &mut cur_u.as_mut_slice()[lo..hi],
-            );
+            evaluate_v_batch(&functors[g], &dists[lo..hi], &mut u[lo..hi]);
         }
     }
 }
@@ -113,7 +109,7 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
     }
 
     fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
-        let (n, nion) = (self.n, self.nion);
+        let (n, nion) = (self.vat.len(), self.nion);
         time_kernel(Kernel::J1, || {
             let mut logpsi: f64 = 0.0;
             for i in 0..n {
@@ -154,7 +150,12 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
 
     fn ratio(&mut self, p: &ParticleSet<T>, iat: usize) -> f64 {
         time_kernel(Kernel::J1, || {
-            self.batch_v(p.table(self.table).as_ab_soa().temp_dist());
+            Self::batch_v(
+                &self.functors,
+                &self.ion_groups,
+                p.table(self.table).as_ab_soa().temp_dist(),
+                self.cur_u.as_mut_slice(),
+            );
             let mut v = T::ZERO;
             for &u in &self.cur_u.as_slice()[..self.nion] {
                 v += u;
@@ -168,6 +169,53 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
             );
             (-(self.cur_vat - self.vat[iat].to_f64())).exp()
         })
+    }
+
+    /// NLPP quadrature fast path: all `Q` virtual electron-ion rows come
+    /// from one [`qmc_particles::DistTableABSoA::virtual_dists`] call,
+    /// then each point runs the same `batch_v` and ordered sum as
+    /// [`Self::ratio`] under one J1 scope (bitwise identical factors).
+    fn ratios_value_only(
+        &mut self,
+        p: &ParticleSet<T>,
+        iat: usize,
+        positions: &[Pos<T>],
+        ratios: &mut [f64],
+    ) -> bool {
+        let DistTable::AbSoa(t) = p.table(self.table) else {
+            return false;
+        };
+        let (nion, nq) = (self.nion, positions.len());
+        let stride = self.cur_u.len();
+        let (dist, disp) = self.virt.rows_mut(nq, stride);
+        t.virtual_dists(positions, &mut *dist, stride, disp);
+        time_kernel(Kernel::J1, || {
+            let vat = self.vat[iat].to_f64();
+            for (q, r) in ratios[..nq].iter_mut().enumerate() {
+                Self::batch_v(
+                    &self.functors,
+                    &self.ion_groups,
+                    &dist[q * stride..q * stride + nion],
+                    self.cur_u.as_mut_slice(),
+                );
+                let mut v = T::ZERO;
+                for &u in &self.cur_u.as_slice()[..nion] {
+                    v += u;
+                }
+                *r *= (-(v.to_f64() - vat)).exp();
+            }
+            self.cur_has_grad = false;
+            add_flops_bytes(
+                Kernel::J1,
+                (nq * nion * 14) as u64,
+                (nq * nion * 2 * std::mem::size_of::<T>()) as u64,
+            );
+        });
+        true
+    }
+
+    fn uses_virtual_rows(&self) -> bool {
+        true
     }
 
     fn ratio_grad(&mut self, p: &ParticleSet<T>, iat: usize, grad: &mut Pos<f64>) -> f64 {
@@ -225,7 +273,7 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
     }
 
     fn accumulate_gl(&mut self, p: &mut ParticleSet<T>) {
-        for i in 0..self.n {
+        for i in 0..self.vat.len() {
             let g: Pos<f64> = self.gat.get(i).cast();
             p.g[i] += g;
             p.l[i] += self.lat[i].to_f64();

@@ -11,7 +11,7 @@
 //! `qmc_kernels::jastrow` behind the backend seam captured at
 //! construction.
 
-use super::{evaluate_v_batch, evaluate_vgl_batch, PairFunctors};
+use super::{evaluate_v_batch, evaluate_vgl_batch, PairFunctors, VirtualRows};
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{padded_len, AlignedVec, Pos, Real, TinyVector, VectorSoaContainer};
@@ -20,13 +20,12 @@ use qmc_kernels::jastrow::{
     j2_accept_grad_row, j2_accept_value_rows, j2_row_sum, j2_row_vg, j2_row_vgl,
 };
 use qmc_kernels::Backend;
-use qmc_particles::ParticleSet;
+use qmc_particles::{DistTable, ParticleSet};
 
 /// Optimized (SoA, compute-on-the-fly) two-body Jastrow factor.
 pub struct J2Soa<T: Real> {
     table: usize,
     functors: PairFunctors<T>,
-    n: usize,
     /// Per-electron value sums `sum_j u(r_ij)`.
     vat: AlignedVec<T>,
     /// Per-electron gradient of `log psi` (SoA).
@@ -40,6 +39,8 @@ pub struct J2Soa<T: Real> {
     old_u: AlignedVec<T>,
     old_dud: AlignedVec<T>,
     old_lap: AlignedVec<T>,
+    /// Scratch rows of the NLPP virtual-particle path.
+    virt: VirtualRows<T>,
     cur_vat: f64,
     cur_has_grad: bool,
     log_value: f64,
@@ -56,7 +57,6 @@ impl<T: Real> J2Soa<T> {
         Self {
             table,
             functors,
-            n,
             vat: AlignedVec::zeros(n),
             gat: VectorSoaContainer::new(n),
             lat: AlignedVec::zeros(n),
@@ -66,6 +66,7 @@ impl<T: Real> J2Soa<T> {
             old_u: AlignedVec::zeros(np),
             old_dud: AlignedVec::zeros(np),
             old_lap: AlignedVec::zeros(np),
+            virt: VirtualRows::new(),
             cur_vat: 0.0,
             cur_has_grad: false,
             log_value: 0.0,
@@ -123,7 +124,7 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
     }
 
     fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
-        let n = self.n;
+        let n = self.vat.len();
         time_kernel(Kernel::J2, || {
             let t = p.table(self.table).as_aa_soa();
             let mut logpsi: f64 = 0.0;
@@ -174,30 +175,78 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
         time_kernel(Kernel::J2, || {
             let t = p.table(self.table).as_aa_soa();
             let gk = p.group_of(iat);
+            let n = self.vat.len();
             Self::batch_v(
                 &self.functors,
                 p,
                 gk,
                 t.temp_dist(),
-                &mut self.cur_u.as_mut_slice()[..self.n],
+                &mut self.cur_u.as_mut_slice()[..n],
             );
-            let v = j2_row_sum(self.backend, self.cur_u.as_slice(), self.n);
+            let v = j2_row_sum(self.backend, self.cur_u.as_slice(), n);
             self.cur_vat = v.to_f64();
             self.cur_has_grad = false;
             add_flops_bytes(
                 Kernel::J2,
-                (self.n * 14) as u64,
-                (self.n * 2 * std::mem::size_of::<T>()) as u64,
+                (n * 14) as u64,
+                (n * 2 * std::mem::size_of::<T>()) as u64,
             );
             (-(self.cur_vat - self.vat[iat].to_f64())).exp()
         })
+    }
+
+    /// NLPP quadrature fast path: all `Q` virtual rows come from one
+    /// [`qmc_particles::DistTableAASoA::virtual_dists`] call, then each
+    /// point runs the same `batch_v` + `j2_row_sum` as [`Self::ratio`]
+    /// under one J2 scope, so every factor is bitwise identical to the
+    /// per-point `make_move` path.
+    fn ratios_value_only(
+        &mut self,
+        p: &ParticleSet<T>,
+        iat: usize,
+        positions: &[Pos<T>],
+        ratios: &mut [f64],
+    ) -> bool {
+        let DistTable::AaSoa(t) = p.table(self.table) else {
+            return false;
+        };
+        let (n, nq) = (self.vat.len(), positions.len());
+        let stride = self.cur_u.len();
+        let (dist, disp) = self.virt.rows_mut(nq, stride);
+        t.virtual_dists(p.rsoa(), iat, positions, &mut *dist, stride, disp);
+        time_kernel(Kernel::J2, || {
+            let gk = p.group_of(iat);
+            let vat = self.vat[iat].to_f64();
+            for (q, r) in ratios[..nq].iter_mut().enumerate() {
+                Self::batch_v(
+                    &self.functors,
+                    p,
+                    gk,
+                    &dist[q * stride..q * stride + n],
+                    &mut self.cur_u.as_mut_slice()[..n],
+                );
+                let v = j2_row_sum(self.backend, self.cur_u.as_slice(), n).to_f64();
+                *r *= (-(v - vat)).exp();
+            }
+            self.cur_has_grad = false;
+            add_flops_bytes(
+                Kernel::J2,
+                (nq * n * 14) as u64,
+                (nq * n * 2 * std::mem::size_of::<T>()) as u64,
+            );
+        });
+        true
+    }
+
+    fn uses_virtual_rows(&self) -> bool {
+        true
     }
 
     fn ratio_grad(&mut self, p: &ParticleSet<T>, iat: usize, grad: &mut Pos<f64>) -> f64 {
         time_kernel(Kernel::J2, || {
             let t = p.table(self.table).as_aa_soa();
             let gk = p.group_of(iat);
-            let n = self.n;
+            let n = self.vat.len();
             Self::batch_vgl(
                 &self.functors,
                 p,
@@ -235,7 +284,7 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
 
     fn accept_move(&mut self, p: &ParticleSet<T>, iat: usize) {
         time_kernel(Kernel::J2, || {
-            let n = self.n;
+            let n = self.vat.len();
             let t = p.table(self.table).as_aa_soa();
             let gk = p.group_of(iat);
             if !self.cur_has_grad {
@@ -303,7 +352,7 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
     }
 
     fn accumulate_gl(&mut self, p: &mut ParticleSet<T>) {
-        for i in 0..self.n {
+        for i in 0..self.vat.len() {
             let g: Pos<f64> = self.gat.get(i).cast();
             p.g[i] += g;
             p.l[i] += self.lat[i].to_f64();

@@ -17,7 +17,7 @@ pub mod j2_ref;
 pub mod j2_soa;
 
 use qmc_bspline::CubicBspline1D;
-use qmc_containers::Real;
+use qmc_containers::{AlignedVec, Real};
 
 pub use j1_ref::J1Ref;
 pub use j1_soa::J1Soa;
@@ -60,6 +60,37 @@ impl<T: Real> PairFunctors<T> {
     #[inline]
     pub fn get(&self, a: usize, b: usize) -> &CubicBspline1D<T> {
         &self.functors[a * self.ngroups + b]
+    }
+}
+
+/// Scratch rows of the NLPP virtual-particle path: one distance row per
+/// quadrature point plus one displacement row per component, all
+/// `stride` long. Empty (one null pointer in the component) until the
+/// first quadrature, then grown to the quadrature order and reused, so
+/// building an engine allocates nothing for it.
+pub(crate) struct VirtualRows<T: Real>(Option<Box<AlignedVec<T>>>);
+
+impl<T: Real> VirtualRows<T> {
+    /// Unallocated scratch.
+    pub(crate) fn new() -> Self {
+        Self(None)
+    }
+
+    /// The `nq` distance rows (one slab) and the three displacement rows.
+    /// Allocates only on the first call and when `nq` or `stride` grows.
+    pub(crate) fn rows_mut(&mut self, nq: usize, stride: usize) -> (&mut [T], [&mut [T]; 3]) {
+        let need = (nq + 3) * stride;
+        if self.0.as_ref().is_some_and(|b| b.len() < need) {
+            self.0 = None;
+        }
+        let buf = self
+            .0
+            .get_or_insert_with(|| AlignedVec::zeros(need).into())
+            .as_mut_slice();
+        let (dist, rest) = buf.split_at_mut(nq * stride);
+        let (x, rest) = rest.split_at_mut(stride);
+        let (y, rest) = rest.split_at_mut(stride);
+        (dist, [x, y, &mut rest[..stride]])
     }
 }
 

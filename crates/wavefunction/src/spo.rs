@@ -79,6 +79,18 @@ pub enum SpoLayout {
     Soa,
 }
 
+impl SpoLayout {
+    /// The kernel backend a [`BsplineSpo`] built now captures: `Ref` pins
+    /// the scalar reference backend, `Soa` takes the process-wide
+    /// selection (`QMC_KERNEL_BACKEND` / `--backend`).
+    pub fn kernel_backend(self) -> Backend {
+        match self {
+            SpoLayout::Ref => Backend::Reference,
+            SpoLayout::Soa => Backend::current(),
+        }
+    }
+}
+
 /// B-spline-backed SPO set on a periodic cell. The coefficient table is
 /// shared (`Arc`) between all walkers/threads, as in QMCPACK where the
 /// read-only table is the single biggest allocation (Table 1).
@@ -86,9 +98,8 @@ pub struct BsplineSpo<T: Real> {
     table: Arc<MultiBspline3D<T>>,
     lattice: CrystalLattice<T>,
     layout: SpoLayout,
-    /// Kernel backend captured at construction: the `Ref` layout pins the
-    /// scalar reference backend; the `Soa` layout takes the process-wide
-    /// selection (`QMC_KERNEL_BACKEND` / `--backend`).
+    /// Kernel backend captured at construction
+    /// ([`SpoLayout::kernel_backend`]).
     backend: Backend,
     /// Precontracted fractional-to-Cartesian gradient matrix (fused
     /// batched-VGL path).
@@ -131,10 +142,7 @@ impl<T: Real> BsplineSpo<T> {
         let ns = table.num_splines();
         let gmat = lattice.grad_transform();
         let lapmet = lattice.laplacian_metric();
-        let backend = match layout {
-            SpoLayout::Ref => Backend::Reference,
-            SpoLayout::Soa => Backend::current(),
-        };
+        let backend = layout.kernel_backend();
         Self {
             table,
             lattice,

@@ -36,16 +36,20 @@ pub trait WaveFunctionComponent<T: Real>: Send {
 
     /// Batched value-only ratios for the NLPP quadrature loop: multiplies
     /// `psi_c(.., r_q, ..) / psi_c(R)` for particle `iat` moved to each
-    /// `positions[q]` into `ratios[q]`, *without* candidate distance rows
-    /// (no `ParticleSet::make_move`). Returns `true` when handled.
+    /// `positions[q]` into `ratios[q]`, *without* a candidate move on the
+    /// particle set (no `ParticleSet::make_move`). Returns `true` when
+    /// handled.
     ///
-    /// The default returns `false` untouched, telling the caller this
-    /// component needs the per-point `make_move` + [`Self::ratio`]
-    /// fallback (components whose ratio reads distance tables, e.g. the
-    /// Jastrow factors). Implementations must produce each per-point
-    /// factor **bitwise identical** to [`Self::ratio`] at the same
-    /// position — the determinant override batches the orbital
-    /// evaluations but keeps the same per-point contraction.
+    /// The determinants batch their orbital evaluations; the SoA
+    /// Jastrows read all `Q` virtual-particle distance rows from one
+    /// `virtual_dists` call on their table (and report
+    /// [`Self::uses_virtual_rows`]). The default returns `false`
+    /// untouched, telling the caller this component needs the per-point
+    /// `make_move` + [`Self::ratio`] fallback (the `Ref` Jastrows over
+    /// AoS tables, or an SoA Jastrow handed a non-SoA table).
+    /// Implementations must produce each per-point factor **bitwise
+    /// identical** to [`Self::ratio`] at the same position: the batched
+    /// paths reorganize the loops but keep the same per-point arithmetic.
     fn ratios_value_only(
         &mut self,
         _p: &ParticleSet<T>,
@@ -53,6 +57,14 @@ pub trait WaveFunctionComponent<T: Real>: Send {
         _positions: &[Pos<T>],
         _ratios: &mut [f64],
     ) -> bool {
+        false
+    }
+
+    /// True when [`Self::ratios_value_only`] reads virtual distance rows.
+    /// `TrialWaveFunction::calc_ratios_v` multiplies these factors in
+    /// after the table-free ones, the order in which the per-point
+    /// fallback used to apply them, so the products stay bitwise stable.
+    fn uses_virtual_rows(&self) -> bool {
         false
     }
 

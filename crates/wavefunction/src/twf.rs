@@ -82,16 +82,23 @@ impl<T: Real> TrialWaveFunction<T> {
 
     /// Value-only ratios `Psi_T(.., r_q, ..) / Psi_T(R)` for particle
     /// `iat` moved to each of `positions` — the NLPP quadrature inner
-    /// loop. Components with a batched value-only path (determinants)
-    /// evaluate every point in one dispatch; the rest fall back to one
-    /// `make_move` + [`WaveFunctionComponent::ratio`] + restore pass per
-    /// point. `p` comes back with no active move.
+    /// loop, evaluated as one virtual-particle batch. Determinants
+    /// evaluate every point in one orbital dispatch; the SoA Jastrows
+    /// read all points' distance rows from one `virtual_dists` call. Only
+    /// components without a batched path (the `Ref` Jastrows over AoS
+    /// tables) fall back to one `make_move` +
+    /// [`WaveFunctionComponent::ratio`] + restore pass per point. `p`
+    /// comes back with no active move.
     ///
-    /// Products are bitwise identical to the per-point
-    /// [`Self::calc_ratio`] reference loop: each per-point factor is
-    /// bitwise identical by the `ratios_value_only` contract, and the
-    /// engines compose determinants before Jastrows, so the f64 factor
-    /// order is preserved (two-factor products commute bitwise anyway).
+    /// Factors are multiplied in three phases, each in component order:
+    /// table-free batched components (determinants), then components on
+    /// virtual rows (SoA Jastrows), then the per-point fallback. Each
+    /// factor is bitwise identical to its per-point `ratio` by the
+    /// `ratios_value_only` contract, and the phase order does not depend
+    /// on which Jastrows batch, so Ref and Current engines multiply in
+    /// the same order. When the determinants come first in component
+    /// order (Slater–J1–J2), every product is also bitwise identical to
+    /// `make_move` + [`Self::calc_ratio`] at each point.
     pub fn calc_ratios_v(
         &mut self,
         p: &mut ParticleSet<T>,
@@ -107,9 +114,13 @@ impl<T: Real> TrialWaveFunction<T> {
         }
         // Deferred components tracked by bitmask: no per-call allocation.
         let mut deferred: u64 = 0;
-        for (ci, c) in self.components.iter_mut().enumerate() {
-            if !c.ratios_value_only(p, iat, positions, &mut ratios[..nq]) {
-                deferred |= 1 << ci;
+        for virtual_rows in [false, true] {
+            for (ci, c) in self.components.iter_mut().enumerate() {
+                if c.uses_virtual_rows() == virtual_rows
+                    && !c.ratios_value_only(p, iat, positions, &mut ratios[..nq])
+                {
+                    deferred |= 1 << ci;
+                }
             }
         }
         if deferred != 0 {

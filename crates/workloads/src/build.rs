@@ -9,6 +9,7 @@ use qmc_bspline::{CubicBspline1D, MultiBspline3D};
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_drivers::{HamiltonianSet, QmcEngine};
 use qmc_hamiltonian::{CoulombEE, CoulombEI, NonLocalPP, PpChannel, PseudoSpecies};
+use qmc_kernels::Backend;
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
     BsplineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors,
@@ -61,6 +62,12 @@ impl CodeVersion {
             CodeVersion::Ref | CodeVersion::RefMp => Layout::Aos,
             _ => Layout::Soa,
         }
+    }
+
+    /// The kernel backend this version's engines run on when built now
+    /// (their splines' [`SpoLayout::kernel_backend`]).
+    pub fn kernel_backend(&self) -> Backend {
+        self.spo_layout().kernel_backend()
     }
 
     fn spo_layout(&self) -> SpoLayout {

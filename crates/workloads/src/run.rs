@@ -14,6 +14,7 @@ use qmc_instrument::{
     take_drift_stats, take_sanitizer_stats, BlockEvent, DriftStats, Profile, RunReport,
     SanitizerStats,
 };
+use qmc_kernels::Backend;
 
 /// Execution configuration for one benchmark run.
 #[derive(Clone, Copy, Debug)]
@@ -60,6 +61,8 @@ impl Default for RunConfig {
 pub struct RunOutcome {
     /// Code version label.
     pub label: String,
+    /// Kernel backend the run's engines were built with.
+    pub kernel_backend: Backend,
     /// Wall-clock seconds of the DMC loop (excluding engine construction).
     pub seconds: f64,
     /// Monte Carlo samples generated after warmup.
@@ -132,7 +135,7 @@ impl RunOutcome {
         RunReport {
             benchmark: workload.spec.name.to_string(),
             code: self.label.clone(),
-            kernel_backend: qmc_kernels::Backend::current().label().to_string(),
+            kernel_backend: self.kernel_backend.label().to_string(),
             electrons: workload.num_electrons(),
             ions: workload.num_ions(),
             threads: cfg.threads,
@@ -227,6 +230,8 @@ fn run_generic_controlled<T: Real>(
         batching: cfg.batching,
     };
     let threads = cfg.threads.max(1);
+    // Read next to the engine builds below, which capture the same value.
+    let kernel_backend = code.kernel_backend();
     // Reset the global drift and sanitizer counters so the run owns what
     // it reports.
     take_drift_stats();
@@ -269,6 +274,7 @@ fn run_generic_controlled<T: Real>(
 
     Ok(RunOutcome {
         label: code.label(),
+        kernel_backend,
         seconds,
         samples: res.samples,
         profile: profile.total,
