@@ -188,6 +188,9 @@ cargo bench -p qmc-bench --bench bench_crowd -- --test
 echo "== bench smoke (backend kernel benches) =="
 cargo bench -p qmc-bench --bench bench_kernels -- --test
 
+echo "== bench smoke (determinant updates) =="
+cargo bench -p qmc-bench --bench bench_determinant -- --test
+
 echo "== run-report smoke (miniqmc --profile json) =="
 ./target/release/miniqmc --benchmark graphite --threads 1 --walkers 2 \
     --steps 4 --warmup 1 --profile json | ./target/release/json_check

@@ -1,7 +1,9 @@
 //! Criterion bench: determinant-inverse updates — Sherman–Morrison rank-1
 //! (the baseline `DetUpdate` of §8.4) versus the delayed Woodbury engine
 //! at several delay depths, measured over full N-move sweeps so the
-//! delayed engine's blocked flush cost is amortized realistically.
+//! delayed engine's blocked flush cost is amortized realistically. An f32
+//! Sherman–Morrison sweep at N = 192 covers the production precision at
+//! NiO-32's orbital count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_containers::Matrix;
@@ -60,6 +62,26 @@ fn bench_determinant(c: &mut Criterion) {
         }
         group.finish();
     }
+
+    // f32 is the production precision (mixed precision, §7.2).
+    let n = 192;
+    let (minv_t, _, _) = transposed_inverse_log_det(&well_conditioned(n, 9)).unwrap();
+    let minv_t: Matrix<f32> = minv_t.cast();
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|k| new_row(n, k).into_iter().map(|x| x as f32).collect())
+        .collect();
+    let mut group = c.benchmark_group(format!("det_update_f32_N{n}"));
+    group.bench_function(BenchmarkId::new("sweep", "sherman_morrison"), |b| {
+        b.iter(|| {
+            let mut m = minv_t.clone();
+            for (k, v) in rows.iter().enumerate() {
+                let r = det_ratio_row(&m, k, v);
+                sherman_morrison_update(&mut m, k, v, r);
+            }
+            black_box(&m);
+        });
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_determinant);

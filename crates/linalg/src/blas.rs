@@ -2,8 +2,14 @@
 //!
 //! QMCPACK leans on vendor BLAS for the Sherman–Morrison (BLAS2) and delayed
 //! (BLAS3) determinant updates; this workspace has no external BLAS, so we
-//! provide the handful of kernels the determinant code needs, written as
-//! contiguous-slice loops the compiler auto-vectorizes.
+//! provide the handful of kernels the determinant code needs as
+//! contiguous-slice loops.
+//!
+//! [`axpy`] and [`scal`] are element-wise and vectorize. [`dot`] is a strict
+//! serial `mul_add` chain: the compiler may not reassociate it, so one dot
+//! runs at FMA latency, not throughput, and its result is the same on every
+//! backend. Where several dots are independent, [`dot_rows`] runs them as
+//! interleaved chains, which hides the latency without changing any sum.
 
 use qmc_containers::{Matrix, Real};
 
@@ -14,6 +20,28 @@ pub fn dot<T: Real>(x: &[T], y: &[T]) -> T {
     let mut acc = T::ZERO;
     for (a, b) in x.iter().zip(y) {
         acc = a.mul_add(*b, acc);
+    }
+    acc
+}
+
+/// `R` dot products of rows against one shared vector `v`, in one pass
+/// over `v` with `R` independent accumulators.
+///
+/// Each accumulator runs in the same order as [`dot`], so entry `q` is
+/// bitwise equal to `dot(rows[q], v)`; interleaving the chains only lets
+/// the FMA unit overlap their latencies.
+#[inline]
+pub fn dot_rows<T: Real, const R: usize>(rows: [&[T]; R], v: &[T]) -> [T; R] {
+    let n = v.len();
+    debug_assert!(rows.iter().all(|r| r.len() == n));
+    // Reslicing every row to `n` lets the compiler drop per-element bounds
+    // checks in the loop.
+    let rows = rows.map(|r| &r[..n]);
+    let mut acc = [T::ZERO; R];
+    for (i, &vi) in v.iter().enumerate() {
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            *a = r[i].mul_add(vi, *a);
+        }
     }
     acc
 }
@@ -32,34 +60,6 @@ pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
 pub fn scal<T: Real>(alpha: T, x: &mut [T]) {
     for a in x.iter_mut() {
         *a *= alpha;
-    }
-}
-
-/// Dense matrix-vector product `y = A x` over the logical region of `a`.
-pub fn gemv<T: Real>(a: &Matrix<T>, x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), a.cols());
-    debug_assert_eq!(y.len(), a.rows());
-    for (i, yi) in y.iter_mut().enumerate() {
-        *yi = dot(a.row(i), x);
-    }
-}
-
-/// Transposed matrix-vector product `y = A^T x`.
-pub fn gemv_t<T: Real>(a: &Matrix<T>, x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), a.rows());
-    debug_assert_eq!(y.len(), a.cols());
-    y.fill(T::ZERO);
-    for (i, &xi) in x.iter().enumerate() {
-        axpy(xi, a.row(i), y);
-    }
-}
-
-/// Rank-1 update `A += alpha * x y^T`.
-pub fn ger<T: Real>(alpha: T, x: &[T], y: &[T], a: &mut Matrix<T>) {
-    debug_assert_eq!(x.len(), a.rows());
-    debug_assert_eq!(y.len(), a.cols());
-    for (i, &xi) in x.iter().enumerate() {
-        axpy(alpha * xi, y, a.row_mut(i));
     }
 }
 
@@ -86,43 +86,6 @@ pub fn gemm<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Ma
     }
 }
 
-/// Matrix product with transposed right factor: `C = alpha * A B^T + beta * C`.
-///
-/// Both inner loops run along contiguous rows of `A` and `B`, so this is the
-/// preferred shape for the delayed-update flush.
-pub fn gemm_nt<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    assert_eq!(a.cols(), b.cols(), "gemm_nt inner dimensions must match");
-    assert_eq!(c.rows(), a.rows());
-    assert_eq!(c.cols(), b.rows());
-    for i in 0..c.rows() {
-        for j in 0..c.cols() {
-            let d = dot(a.row(i), b.row(j));
-            let cij = &mut c[(i, j)];
-            *cij = alpha * d + beta * *cij;
-        }
-    }
-}
-
-/// Matrix product with transposed left factor: `C = alpha * A^T B + beta * C`.
-pub fn gemm_tn<T: Real>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    assert_eq!(a.rows(), b.rows(), "gemm_tn inner dimensions must match");
-    assert_eq!(c.rows(), a.cols());
-    assert_eq!(c.cols(), b.cols());
-    for i in 0..c.rows() {
-        if beta == T::ZERO {
-            c.row_mut(i).fill(T::ZERO);
-        } else if beta != T::ONE {
-            scal(beta, c.row_mut(i));
-        }
-    }
-    for k in 0..a.rows() {
-        for i in 0..c.rows() {
-            let aki = alpha * a[(k, i)];
-            axpy(aki, b.row(k), c.row_mut(i));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,26 +108,21 @@ mod tests {
     }
 
     #[test]
-    fn gemv_and_transpose() {
-        let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = [1.0, 1.0, 1.0];
-        let mut y = [0.0; 2];
-        gemv(&a, &x, &mut y);
-        assert_eq!(y, [6.0, 15.0]);
-        let xt = [1.0, 1.0];
-        let mut yt = [0.0; 3];
-        gemv_t(&a, &xt, &mut yt);
-        assert_eq!(yt, [5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Matrix::<f64>::zeros(2, 2);
-        ger(2.0, &[1.0, 3.0], &[5.0, 7.0], &mut a);
-        assert_eq!(a[(0, 0)], 10.0);
-        assert_eq!(a[(0, 1)], 14.0);
-        assert_eq!(a[(1, 0)], 30.0);
-        assert_eq!(a[(1, 1)], 42.0);
+    fn dot_rows_is_bitwise_dot_per_row() {
+        // Values whose sums round differently under reassociation.
+        let v: Vec<f32> = (0..37).map(|i| 1.0 / (i as f32 + 0.3)).collect();
+        let rows: Vec<Vec<f32>> = (0..3)
+            .map(|q| {
+                (0..37)
+                    .map(|i| ((i * 7 + q * 13) % 11) as f32 - 5.1)
+                    .collect()
+            })
+            .collect();
+        let got = dot_rows([&rows[0][..], &rows[1][..], &rows[2][..]], &v);
+        for (g, r) in got.iter().zip(&rows) {
+            assert_eq!(g.to_bits(), dot(r, &v).to_bits());
+        }
+        assert_eq!(dot_rows::<f64, 0>([], &[1.0]), []);
     }
 
     #[test]
@@ -180,25 +138,5 @@ mod tests {
         // beta accumulation
         gemm(1.0, &a, &b, 1.0, &mut c);
         assert_eq!(c[(0, 0)], 116.0);
-    }
-
-    #[test]
-    fn gemm_nt_matches_gemm() {
-        let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let bt = mat(2, 3, &[7.0, 9.0, 11.0, 8.0, 10.0, 12.0]); // = b^T
-        let mut c = Matrix::<f64>::zeros(2, 2);
-        gemm_nt(1.0, &a, &bt, 0.0, &mut c);
-        assert_eq!(c[(0, 0)], 58.0);
-        assert_eq!(c[(1, 1)], 154.0);
-    }
-
-    #[test]
-    fn gemm_tn_matches_gemm() {
-        let at = mat(3, 2, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]); // = a^T
-        let b = mat(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let mut c = Matrix::<f64>::zeros(2, 2);
-        gemm_tn(1.0, &at, &b, 0.0, &mut c);
-        assert_eq!(c[(0, 0)], 58.0);
-        assert_eq!(c[(1, 0)], 139.0);
     }
 }

@@ -17,7 +17,7 @@ pub mod delayed;
 pub mod lu;
 pub mod updates;
 
-pub use blas::{axpy, dot, gemm, gemm_nt, gemm_tn, gemv, gemv_t, ger, scal};
+pub use blas::{axpy, dot, dot_rows, gemm, scal};
 pub use delayed::DelayedInverse;
 pub use lu::{invert_with_log_det, LuFactor, SingularMatrix};
 pub use updates::{det_ratio_row, sherman_morrison_update, transposed_inverse_log_det};

@@ -6,7 +6,7 @@
 //! determinant ratio for moving electron `k` (Eq. 6 of the paper) and the
 //! gradient ratio are contiguous dot products against row `k` of `M`.
 
-use crate::blas::{axpy, dot, scal};
+use crate::blas::{axpy, dot, dot_rows, scal};
 use qmc_containers::{Matrix, Real};
 
 /// Determinant ratio `det A' / det A` when row `k` of `A` is replaced by the
@@ -19,6 +19,11 @@ pub fn det_ratio_row<T: Real>(minv_t: &Matrix<T>, k: usize, v: &[T]) -> T {
     dot(minv_t.row(k), v)
 }
 
+/// Rows per interleaved block in [`sherman_morrison_update`]: enough
+/// independent FMA chains to cover the FMA latency, few enough that their
+/// accumulators stay in registers.
+const SM_BLOCK: usize = 8;
+
 /// Sherman–Morrison update of the transposed inverse after *accepting* the
 /// replacement of row `k` of `A` by `v`, with `ratio` the value returned by
 /// [`det_ratio_row`] for this move.
@@ -30,17 +35,34 @@ pub fn sherman_morrison_update<T: Real>(minv_t: &mut Matrix<T>, k: usize, v: &[T
     let n = minv_t.rows();
     debug_assert_eq!(v.len(), n);
     let inv_ratio = T::ONE / ratio;
-    // Allocation-free: each w[j] = dot(M.row(j), v) is consumed immediately
-    // after it is produced. Row j is only read before its own update and
-    // row k stays untouched until the final scaling, so this is arithmetic-
-    // identical to materializing w = M v up front.
-    for j in 0..n {
-        if j == k {
-            continue;
+    // Allocation-free: the rows j != k go in blocks of SM_BLOCK. A block's
+    // w[j] = dot(M.row(j), v) run as interleaved chains (`dot_rows`, each in
+    // `dot`'s order), then the block's rows are updated. Row j is only read
+    // before its own update and row k stays untouched until the final
+    // scaling, so this is bitwise identical to materializing w = M v up
+    // front and to one `dot` + `axpy` per row. A ragged last block uses the
+    // plain `dot`.
+    let mut block = [0usize; SM_BLOCK];
+    let mut others = (0..n).filter(|&j| j != k);
+    loop {
+        let mut len = 0;
+        for (slot, j) in block.iter_mut().zip(&mut others) {
+            *slot = j;
+            len += 1;
         }
-        let c = -dot(minv_t.row(j), v) * inv_ratio;
-        let (rk, rj) = minv_t.two_rows_mut(k, j);
-        axpy(c, rk, rj);
+        if len < SM_BLOCK {
+            for &j in &block[..len] {
+                let c = -dot(minv_t.row(j), v) * inv_ratio;
+                let (rk, rj) = minv_t.two_rows_mut(k, j);
+                axpy(c, rk, rj);
+            }
+            break;
+        }
+        let w = dot_rows(block.map(|j| minv_t.row(j)), v);
+        for (&j, &wj) in block.iter().zip(&w) {
+            let (rk, rj) = minv_t.two_rows_mut(k, j);
+            axpy(-wj * inv_ratio, rk, rj);
+        }
     }
     scal(inv_ratio, minv_t.row_mut(k));
 }

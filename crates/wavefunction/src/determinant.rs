@@ -15,7 +15,8 @@ use crate::traits::WaveFunctionComponent;
 use qmc_containers::{AlignedVec, Matrix, Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
 use qmc_linalg::{
-    det_ratio_row, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse,
+    det_ratio_row, dot, dot_rows, sherman_morrison_update, transposed_inverse_log_det,
+    DelayedInverse,
 };
 use qmc_particles::ParticleSet;
 
@@ -36,6 +37,11 @@ enum InverseEngine<T: Real> {
     Direct(Matrix<T>),
     Delayed(DelayedInverse<T>),
 }
+
+/// Quadrature points per interleaved block in
+/// [`WaveFunctionComponent::ratios_value_only`]: the 12-point NLPP grid is
+/// three full blocks.
+const QUAD_BLOCK: usize = 4;
 
 /// Default accepted-move recompute cadence, in units of sweeps (times
 /// `nel`): single-precision inverses drift fast enough that QMCPACK-style
@@ -343,7 +349,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         self.spo.evaluate_v(newpos, self.psi_v.as_mut_slice());
         let r = time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            det_ratio_row_from_slice(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
+            dot(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
         });
         add_flops_bytes(
             Kernel::DetRatio,
@@ -360,7 +366,9 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     /// once instead of once per point. Each per-point factor is the same
     /// `inv_row . psi_v` contraction [`Self::ratio`] computes over
     /// bitwise-identical orbital values, so the multiplied-in ratios are
-    /// bitwise identical to the per-point `make_move` path.
+    /// bitwise identical to the per-point `make_move` path. Blocks of
+    /// [`QUAD_BLOCK`] points run as interleaved chains, each in `dot`'s
+    /// order; a ragged last block uses the plain `dot`.
     fn ratios_value_only(
         &mut self,
         _p: &ParticleSet<T>,
@@ -381,9 +389,20 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         self.spo.mw_evaluate_v(positions, &mut self.mw_psi_v);
         time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            for (q, r) in ratios[..nq].iter_mut().enumerate() {
-                let row = &self.mw_psi_v[q * ns..q * ns + self.nel];
-                *r *= det_ratio_row_from_slice(self.inv_row.as_slice(), row).to_f64();
+            let (inv, nel) = (self.inv_row.as_slice(), self.nel);
+            let psi = |q: usize| &self.mw_psi_v[q * ns..q * ns + nel];
+            for (b, rb) in ratios[..nq].chunks_mut(QUAD_BLOCK).enumerate() {
+                let q0 = b * QUAD_BLOCK;
+                if rb.len() == QUAD_BLOCK {
+                    let w = dot_rows::<T, QUAD_BLOCK>(std::array::from_fn(|q| psi(q0 + q)), inv);
+                    for (r, wq) in rb.iter_mut().zip(w) {
+                        *r *= wq.to_f64();
+                    }
+                } else {
+                    for (q, r) in rb.iter_mut().enumerate() {
+                        *r *= dot(psi(q0 + q), inv).to_f64();
+                    }
+                }
             }
         });
         add_flops_bytes(
@@ -410,21 +429,13 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         let ns = self.psi_v.len();
         let r = time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            det_ratio_row_from_slice(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
+            dot(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
         });
         self.cur_ratio = r.to_f64();
         self.cur_has_vgl = true;
-        let inv = self.inv_row.as_slice();
-        let mut g = TinyVector::<f64, 3>::zero();
-        for d in 0..3 {
-            let gd = &self.psi_g.as_slice()[d * ns..d * ns + self.nel];
-            let mut acc = T::ZERO;
-            for j in 0..self.nel {
-                acc = gd[j].mul_add(inv[j], acc);
-            }
-            g[d] = acc.to_f64() / self.cur_ratio;
-        }
-        *grad += g;
+        let gd = |d: usize| &self.psi_g.as_slice()[d * ns..d * ns + self.nel];
+        let w = dot_rows([gd(0), gd(1), gd(2)], self.inv_row.as_slice());
+        *grad += TinyVector(w.map(|a| a.to_f64() / self.cur_ratio));
         self.cur_ratio
     }
 
@@ -434,17 +445,12 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         let local = iat - self.first;
         self.engine_inv_row(local);
-        let inv = self.inv_row.as_slice();
-        let mut g = TinyVector::<f64, 3>::zero();
-        for d in 0..3 {
-            let gd = self.g_m[d].row(local);
-            let mut acc = T::ZERO;
-            for j in 0..self.nel {
-                acc = gd[j].mul_add(inv[j], acc);
-            }
-            g[d] = acc.to_f64();
-        }
-        g
+        let [gx, gy, gz] = &self.g_m;
+        let w = dot_rows(
+            [gx.row(local), gy.row(local), gz.row(local)],
+            self.inv_row.as_slice(),
+        );
+        TinyVector(w.map(T::to_f64))
     }
 
     fn accept_move(&mut self, p: &ParticleSet<T>, iat: usize) {
@@ -514,24 +520,14 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         time_kernel(Kernel::SpoVGL, || {
             for i in 0..nel {
                 self.engine_inv_row(i);
-                let inv = self.inv_row.as_slice();
-                let mut g = TinyVector::<f64, 3>::zero();
-                for d in 0..3 {
-                    let gd = self.g_m[d].row(i);
-                    let mut acc = T::ZERO;
-                    for j in 0..nel {
-                        acc = gd[j].mul_add(inv[j], acc);
-                    }
-                    g[d] = acc.to_f64();
-                }
-                let ld = self.l_m.row(i);
-                let mut acc = T::ZERO;
-                for j in 0..nel {
-                    acc = ld[j].mul_add(inv[j], acc);
-                }
-                let lap = acc.to_f64();
+                let [gx, gy, gz] = &self.g_m;
+                let [wx, wy, wz, wl] = dot_rows(
+                    [gx.row(i), gy.row(i), gz.row(i), self.l_m.row(i)],
+                    self.inv_row.as_slice(),
+                );
+                let g = TinyVector([wx.to_f64(), wy.to_f64(), wz.to_f64()]);
                 p.g[self.first + i] += g;
-                p.l[self.first + i] += lap - g.norm2();
+                p.l[self.first + i] += wl.to_f64() - g.norm2();
             }
         });
     }
@@ -587,13 +583,4 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
                 .sum::<usize>()
             + self.l_m.bytes()
     }
-}
-
-#[inline]
-fn det_ratio_row_from_slice<T: Real>(inv_row: &[T], v: &[T]) -> T {
-    let mut acc = T::ZERO;
-    for (a, b) in inv_row.iter().zip(v) {
-        acc = a.mul_add(*b, acc);
-    }
-    acc
 }
