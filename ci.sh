@@ -86,25 +86,31 @@ for k in ("v", "vgh", "mw_vgl"):
 EOF
 rm -f KERNEL_BENCH.log
 
-echo "== checkpoint/resume parity smoke (kill at step 3, resume to 6) =="
-# A run checkpointed at an interior generation and restarted from the
-# file must end with the same per-walker FNV-1a population hash as the
-# run that was never killed — for per-walker AND crowd batching. The
-# stream file must be valid NDJSON while we're at it.
+echo "== checkpoint/resume parity smoke (kill at step/block 3, resume to 6) =="
+# A run checkpointed at an interior generation (DMC) or block (VMC) and
+# restarted from the file must end with the same per-walker FNV-1a
+# population hash as the run that was never killed — for per-walker AND
+# crowd batching, on two threads. The stream file must be valid NDJSON
+# while we're at it.
 CK_DIR=$(mktemp -d)
 trap 'rm -rf "$CK_DIR"' EXIT
-for batch_args in "" "--crowd 2"; do
+for batch_args in "" "--crowd 2" "--driver vmc" "--driver vmc --crowd 2"; do
+    # VMC counts --steps in sweeps, four per block: 24/12 sweeps = 6/3 blocks.
+    case "$batch_args" in
+        *vmc*) full=24 cut=12 ;;
+        *) full=6 cut=3 ;;
+    esac
     # shellcheck disable=SC2086  # batch_args is deliberately word-split
     straight=$(./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 6 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps "$full" --warmup 1 --seed 11 $batch_args \
         | grep '^walker-hash')
     # shellcheck disable=SC2086
     ./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 3 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps "$cut" --warmup 1 --seed 11 $batch_args \
         --checkpoint "$CK_DIR/ck.qmc:3" --stream "$CK_DIR/run.ndjson" > /dev/null
     # shellcheck disable=SC2086
     resumed=$(./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 6 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps "$full" --warmup 1 --seed 11 $batch_args \
         --resume "$CK_DIR/ck.qmc" --stream "$CK_DIR/run.ndjson" \
         | grep '^walker-hash')
     if [ "$straight" != "$resumed" ]; then

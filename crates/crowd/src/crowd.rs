@@ -1,7 +1,7 @@
 //! [`Crowd`]: a batch of engines advancing walkers in lock-step.
 
 use qmc_containers::{Pos, Real, TinyVector};
-use qmc_drivers::{limited_drift, QmcEngine, SweepStats, Walker};
+use qmc_drivers::{limited_drift, Crew, QmcEngine, SweepStats, Walker};
 use qmc_particles::{gaussian_pos, ParticleSet};
 use qmc_wavefunction::TrialWaveFunction;
 use rand::RngExt;
@@ -38,11 +38,6 @@ impl<T: Real> Crowd<T> {
     /// for batched throughput.
     pub fn set_fused_refresh(&mut self, fused: bool) {
         self.fused_refresh = fused;
-    }
-
-    /// Whether block refreshes use the fused batched path.
-    pub fn fused_refresh(&self) -> bool {
-        self.fused_refresh
     }
 
     /// Walkers this crowd advances per lock-step block.
@@ -111,7 +106,30 @@ impl<T: Real> Crowd<T> {
 
     /// One lock-step drift-diffusion sweep over the loaded walkers
     /// (`walkers[s]` must be resident in slot `s`). Returns per-slot
-    /// statistics, in slot order.
+    /// statistics, in slot order; see [`Crew::sweep_block`].
+    pub fn sweep(&mut self, walkers: &mut [Walker<T>], tau: f64) -> Vec<SweepStats> {
+        let mut stats = vec![SweepStats::default(); walkers.len()];
+        self.sweep_block(walkers, tau, &mut stats);
+        stats
+    }
+}
+
+impl<T: Real> Crew<T> for Crowd<T> {
+    fn width(&self) -> usize {
+        self.size()
+    }
+
+    fn slot_mut(&mut self, s: usize) -> &mut QmcEngine<T> {
+        Crowd::slot_mut(self, s)
+    }
+
+    fn refresh_block(&mut self, nw: usize) {
+        Crowd::refresh_block(self, nw);
+    }
+
+    /// One lock-step drift-diffusion sweep over the loaded walkers
+    /// (`walkers[s]` must be resident in slot `s`), writing slot `s`'s
+    /// statistics to `stats[s]`.
     ///
     /// The stage structure per electron `iat` is: batched gradient at the
     /// current position, per-slot drifted-Gaussian proposal (private RNG
@@ -119,12 +137,12 @@ impl<T: Real> Crowd<T> {
     /// per-slot Metropolis decision (fixed-node rejections draw no
     /// randoms, as in the scalar sweep), then batched component
     /// accept/restore followed by the particle-set resolutions.
-    pub fn sweep(&mut self, walkers: &mut [Walker<T>], tau: f64) -> Vec<SweepStats> {
+    fn sweep_block(&mut self, walkers: &mut [Walker<T>], tau: f64, stats: &mut [SweepStats]) {
         let nw = walkers.len();
         assert!(nw <= self.slots.len(), "more walkers than crowd slots");
-        let mut stats = vec![SweepStats::default(); nw];
+        stats.fill(SweepStats::default());
         if nw == 0 {
-            return stats;
+            return;
         }
         let sqrt_tau = tau.sqrt();
         let n = self.slots[0].pset.len();
@@ -204,6 +222,5 @@ impl<T: Real> Crowd<T> {
                 }
             }
         }
-        stats
     }
 }

@@ -8,23 +8,24 @@
 //! `SpoSet::mw_evaluate_vgl`, `qmc_particles::mw_candidate_rows`) instead
 //! of one walker's worth of work.
 //!
-//! The [`CrowdScheduler`] maps crowds onto the thread crew exactly like
-//! `qmc_drivers::parallel` maps single engines: contiguous walker chunks
-//! per thread, walker-order energy reduction. Combined with per-walker
-//! RNG streams and unchanged per-walker floating-point op sequences, the
-//! crowd drivers [`run_vmc_crowd`] and [`run_dmc_crowd`] are bit-identical
-//! to their per-walker counterparts for any crowd size and thread count —
-//! batching is purely an execution-shape choice
-//! (`qmc_drivers::Batching`).
+//! * [`crowd`] — the [`Crowd`] and its `qmc_drivers::Crew` impl (the
+//!   lock-step sweep).
+//! * [`scheduler`] — [`CrowdScheduler`], one crowd per worker thread.
+//!
+//! A crew of crowds runs through the drivers' one generation/block loop
+//! (`qmc_drivers::run_dmc` / `run_vmc`), exactly like a crew of single
+//! engines: contiguous walker chunks per thread, walker-order energy
+//! reduction. Combined with per-walker RNG streams and unchanged
+//! per-walker floating-point op sequences, crowd runs are bit-identical
+//! to per-walker runs for any crowd size and thread count — batching is
+//! purely an execution-shape choice (`qmc_drivers::Batching`).
 
 #![forbid(unsafe_code)]
 
 pub mod crowd;
-pub mod dmc;
 pub mod scheduler;
-pub mod vmc;
 
 pub use crowd::Crowd;
-pub use dmc::{run_dmc_crowd, run_dmc_crowd_controlled};
+/// The DMC driver under its crowd-run name.
+pub use qmc_drivers::run_dmc as run_dmc_crowd_controlled;
 pub use scheduler::CrowdScheduler;
-pub use vmc::{run_vmc_crowd, run_vmc_crowd_controlled};

@@ -4,10 +4,10 @@
 //! unchanged).
 
 use qmc_containers::{Pos, TinyVector};
-use qmc_crowd::{run_dmc_crowd, run_vmc_crowd, Crowd, CrowdScheduler};
+use qmc_crowd::{Crowd, CrowdScheduler};
 use qmc_drivers::{
-    initial_population, run_dmc_parallel, run_vmc, DmcParams, HamiltonianSet, QmcEngine, VmcParams,
-    Walker,
+    initial_population, run_dmc, run_vmc, DmcParams, HamiltonianSet, QmcEngine, RunControl,
+    VmcParams, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
@@ -73,11 +73,16 @@ fn vmc_crowd_is_bitwise_per_walker_for_any_crowd_size() {
         steps_per_block: 6,
         tau: 0.4,
         measure_every: 2,
-        ..Default::default()
     };
     let (mut eng, pos) = engine(n, 17);
     let mut ref_walkers = initial_population::<f64>(&pos, 5, 23);
-    let reference = run_vmc(&mut eng, &mut ref_walkers, &params);
+    let (reference, _) = run_vmc(
+        std::slice::from_mut(&mut eng),
+        &mut ref_walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
 
     // Crowd sizes below, equal to, and above the population; 5 walkers
     // exercise a ragged final block.
@@ -85,7 +90,13 @@ fn vmc_crowd_is_bitwise_per_walker_for_any_crowd_size() {
         let slots = (0..crowd_size).map(|_| engine(n, 17).0).collect();
         let mut crowd = Crowd::new(slots);
         let mut walkers = initial_population::<f64>(&pos, 5, 23);
-        let res = run_vmc_crowd(&mut crowd, &mut walkers, &params);
+        let (res, _) = run_vmc(
+            std::slice::from_mut(&mut crowd),
+            &mut walkers,
+            &params,
+            None,
+            &mut RunControl::none(),
+        );
         assert_eq!(
             res.energy.blocking(),
             reference.energy.blocking(),
@@ -112,13 +123,25 @@ fn dmc_crowd_is_bitwise_per_walker_crew() {
     let mut engines: Vec<QmcEngine<f64>> = (0..2).map(|_| engine(n, 31).0).collect();
     let pos = engine(n, 31).1;
     let mut ref_walkers = initial_population::<f64>(&pos, 6, 41);
-    let (reference, _) = run_dmc_parallel(&mut engines, &mut ref_walkers, &params);
+    let (reference, _) = run_dmc(
+        &mut engines,
+        &mut ref_walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
 
     for (threads, crowd_size) in [(1usize, 1usize), (1, 4), (2, 3), (3, 8)] {
         let sched = CrowdScheduler::new(threads, crowd_size);
         let mut crowds = sched.build_crowds(|| engine(n, 31).0);
         let mut walkers = initial_population::<f64>(&pos, 6, 41);
-        let (res, _) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
+        let (res, _) = run_dmc(
+            &mut crowds,
+            &mut walkers,
+            &params,
+            None,
+            &mut RunControl::none(),
+        );
         let tag = format!("threads {threads} crowd {crowd_size}");
         assert_eq!(res.energy.blocking(), reference.energy.blocking(), "{tag}");
         assert_eq!(res.population, reference.population, "{tag}");
@@ -140,7 +163,13 @@ fn dmc_crowd_handles_empty_population() {
         target_population: 4,
         ..Default::default()
     };
-    let (res, _) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
+    let (res, _) = run_dmc(
+        &mut crowds,
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     assert_eq!(res.samples, 0);
     assert!(res.energy.blocking().0.is_finite() || res.energy.blocking().0.is_nan());
 }

@@ -5,8 +5,8 @@
 //! and crowd-based lock-step execution, where a crowd of walkers advances
 //! through the PbyP sweep together so leaf kernels see multi-walker
 //! batches (QMCPACK's performance-portable driver design). The crowd
-//! drivers live in the `qmc-crowd` crate; this enum is the dial the
-//! drivers, workloads and binaries share.
+//! itself lives in the `qmc-crowd` crate; this enum is the dial the
+//! workloads and binaries share to choose which [`crate::Crew`] to build.
 
 /// How walkers are mapped onto engines within a thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,11 +28,6 @@ impl Batching {
             Batching::Crowd(w) => w.max(1),
         }
     }
-
-    /// True when the crowd scheduler should be used.
-    pub fn is_crowd(self) -> bool {
-        matches!(self, Batching::Crowd(_))
-    }
 }
 
 #[cfg(test)]
@@ -44,7 +39,5 @@ mod tests {
         assert_eq!(Batching::PerWalker.crowd_size(), 1);
         assert_eq!(Batching::Crowd(0).crowd_size(), 1);
         assert_eq!(Batching::Crowd(32).crowd_size(), 32);
-        assert!(!Batching::PerWalker.is_crowd());
-        assert!(Batching::Crowd(4).is_crowd());
     }
 }

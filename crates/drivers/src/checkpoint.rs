@@ -212,8 +212,9 @@ impl CheckpointSpec {
     }
 }
 
-/// Per-run control hooks threaded through the driver variants: periodic
-/// checkpointing and a per-block observer (the streaming-telemetry sink).
+/// Per-run control hooks threaded through [`crate::run_dmc`] and
+/// [`crate::run_vmc`]: periodic checkpointing and a per-block observer
+/// (the streaming-telemetry sink).
 /// [`RunControl::none`] is the plain uncontrolled run.
 ///
 /// A checkpoint *write* failure panics with the path and cause: a

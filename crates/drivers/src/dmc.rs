@@ -2,11 +2,10 @@
 //!
 //! Particle-by-particle drift-diffusion sweeps, local-energy measurement,
 //! walker reweighting, birth/death branching and trial-energy feedback.
-//! [`run_dmc`] drives a single engine; the multithreaded version lives in
-//! [`crate::parallel`].
+//! [`run_dmc`] is the one generation loop: serial, thread-crew and
+//! lock-step crowd runs differ only in the [`Crew`] they pass it.
 //!
-//! All driver variants (single-engine, thread crew, lock-step crowd) share
-//! [`DmcState`]: the complete between-generation state of a run. A
+//! The complete between-generation state of a run is [`DmcState`]. A
 //! checkpoint is nothing but a serialized `DmcState` plus the walker
 //! population, and resuming is entering the generation loop with a
 //! restored state instead of a fresh one — the same code path either way,
@@ -15,11 +14,14 @@
 use crate::batching::Batching;
 use crate::branch::BranchController;
 use crate::checkpoint::RunControl;
-use crate::engine::QmcEngine;
+use crate::crew::{fan_out, init_walkers, load_block, Crew};
+use crate::engine::SweepStats;
 use crate::estimator::ScalarEstimator;
 use crate::reduce;
 use crate::walker::Walker;
+use parking_lot::Mutex;
 use qmc_containers::Real;
+use qmc_instrument::{drain_thread_profile, span_lazy, ProfileSet};
 
 /// DMC run parameters.
 #[derive(Clone, Copy, Debug)]
@@ -37,9 +39,8 @@ pub struct DmcParams {
     pub recompute_every: usize,
     /// Master seed for the branching stream.
     pub seed: u64,
-    /// Walker batching strategy (the crowd drive lives in `qmc-crowd`;
-    /// [`run_dmc`] and [`crate::parallel::run_dmc_parallel`] themselves
-    /// always execute per-walker).
+    /// Walker batching strategy, as a label for front-ends; the crew
+    /// passed to [`run_dmc`] is what actually sets the execution shape.
     pub batching: Batching,
 }
 
@@ -118,10 +119,8 @@ impl DmcState {
     }
 
     /// Completes one generation: accumulates statistics, branches the
-    /// population and applies the trial-energy feedback. This is the
-    /// shared tail of every DMC driver variant (single-engine, parallel,
-    /// crowd) — they must stay bitwise identical, so the logic lives once.
-    /// Returns this generation's energy estimate.
+    /// population and applies the trial-energy feedback: the tail of every
+    /// generation of [`run_dmc`]. Returns this generation's energy estimate.
     pub fn finish_generation<T: Real>(
         &mut self,
         walkers: &mut Vec<Walker<T>>,
@@ -164,72 +163,91 @@ impl DmcState {
     }
 }
 
-/// Runs DMC on one engine. `walkers` is consumed/regenerated by branching.
-pub fn run_dmc<T: Real>(
-    engine: &mut QmcEngine<T>,
-    walkers: &mut Vec<Walker<T>>,
-    params: &DmcParams,
-) -> DmcResult {
-    run_dmc_controlled(engine, walkers, params, None, &mut RunControl::none())
-}
-
-/// [`run_dmc`] with checkpoint/resume control. When `resume` is `Some`,
-/// walker initialization is skipped entirely (the restored walkers carry
-/// their buffers and RNG streams) and the generation loop continues from
-/// `state.step`; the run is bitwise identical to one that never stopped.
-pub fn run_dmc_controlled<T: Real>(
-    engine: &mut QmcEngine<T>,
+/// Runs DMC across a crew (one member per worker thread; a serial run is
+/// a crew of one) and returns the result with the merged kernel
+/// [`ProfileSet`] (one group per member). `walkers` is regenerated by
+/// branching every generation.
+///
+/// When `resume` is `Some`, walker initialization is skipped entirely
+/// (the restored walkers carry their buffers and RNG streams) and the
+/// generation loop continues from `state.step`; the run is bitwise
+/// identical to one that never stopped, whatever crew either part ran on.
+pub fn run_dmc<T: Real, C: Crew<T>>(
+    crew: &mut [C],
     walkers: &mut Vec<Walker<T>>,
     params: &DmcParams,
     resume: Option<DmcState>,
     control: &mut RunControl<'_>,
-) -> DmcResult {
-    qmc_instrument::enable_ftz();
+) -> (DmcResult, ProfileSet) {
+    assert!(!crew.is_empty(), "a run needs at least one crew member");
+    let profile = Mutex::new(ProfileSet::with_groups(crew.len()));
+    // Caller-owned sweep statistics, one slot per walker a member holds.
+    let mut stats: Vec<Vec<SweepStats>> = crew
+        .iter()
+        .map(|c| vec![SweepStats::default(); c.width()])
+        .collect();
+
     let mut state = if let Some(state) = resume {
         state
     } else {
-        // Initialize fresh walkers and the trial energy.
-        let mut e0_acc = 0.0;
-        for w in walkers.iter_mut() {
-            engine.init_walker(w);
-            e0_acc += w.e_local;
-        }
+        init_walkers(crew, &mut stats, walkers, &profile);
         let e0 = if walkers.is_empty() {
             0.0
         } else {
             // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
-            e0_acc / walkers.len() as f64
+            walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64
         };
         DmcState::fresh(e0, params)
     };
 
     while state.step < params.steps {
         let step = state.step;
-        let (mut acc, mut att) = (0usize, 0usize);
-        for w in walkers.iter_mut() {
-            engine.load_walker(w);
-            if params.recompute_every > 0 && step % params.recompute_every == 0 {
-                engine.refresh_from_scratch();
-            }
-            let stats = engine.sweep(params.tau, &mut w.rng);
-            acc += stats.accepted;
-            att += stats.attempted;
-            let el = engine.measure(&mut w.rng).total();
-            qmc_instrument::check_finite(qmc_instrument::CheckKind::LocalEnergy, el);
-            let factor = state.branch.weight_factor(w.e_local, el);
-            w.weight *= factor;
-            w.age = if stats.accepted == 0 { w.age + 1 } else { 0 };
-            w.e_local = el;
-            engine.store_walker(w);
-        }
-        // Deterministic generation merge from the stored per-walker fields
-        // — the same tree shape as every parallel driver variant, so the
-        // branch controller sees bit-identical input across all of them.
+        // Driver-level step span on its own lane, above the worker lanes.
+        let _step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
+        let refresh = params.recompute_every > 0 && step % params.recompute_every == 0;
+        let branch = &state.branch;
+        let (acc, att) = fan_out(
+            crew,
+            &mut stats,
+            walkers,
+            "crowd generation",
+            &profile,
+            |t, member, stats, chunk| {
+                let (mut acc, mut att) = (0, 0);
+                for (b, block) in chunk.chunks_mut(member.width()).enumerate() {
+                    let _block_span = span_lazy(t as u64, || format!("block {b}"));
+                    load_block(member, block);
+                    if refresh {
+                        member.refresh_block(block.len());
+                    }
+                    member.sweep_block(block, params.tau, &mut stats[..block.len()]);
+                    for (s, w) in block.iter_mut().enumerate() {
+                        acc += stats[s].accepted;
+                        att += stats[s].attempted;
+                        let engine = member.slot_mut(s);
+                        let el = engine.measure(&mut w.rng).total();
+                        qmc_instrument::check_finite(qmc_instrument::CheckKind::LocalEnergy, el);
+                        w.weight *= branch.weight_factor(w.e_local, el);
+                        w.age = if stats[s].accepted == 0 { w.age + 1 } else { 0 };
+                        w.e_local = el;
+                        engine.store_walker(w);
+                    }
+                }
+                (acc, att)
+            },
+        );
+        // Deterministic generation merge from the stored per-walker fields:
+        // a fixed-shape tree over walker order, so the branch controller
+        // sees bit-identical input for any crew.
         let esum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight * walkers[i].e_local);
         let wsum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight);
         let e_avg = state.finish_generation(walkers, params.warmup, esum, wsum, acc, att);
         control.after_dmc_generation(&state, walkers, params, e_avg, wsum);
     }
 
-    state.into_result()
+    // Fold the coordinator thread's own profile (branching etc.) into the
+    // aggregate only — it belongs to no worker group.
+    profile.lock().merge_total(&drain_thread_profile());
+
+    (state.into_result(), profile.into_inner())
 }

@@ -7,7 +7,7 @@
 //! there is nothing to test (the checks are no-ops).
 #![cfg(feature = "checked")]
 
-use qmc_drivers::{run_vmc, BranchController, VmcParams};
+use qmc_drivers::{run_vmc, BranchController, RunControl, VmcParams};
 use qmc_instrument::{sanitizer_enabled, set_drift_tolerance, take_sanitizer_stats, CheckKind};
 use std::sync::{Mutex, MutexGuard};
 
@@ -108,9 +108,14 @@ fn clean_vmc_run_checks_without_violations() {
         steps_per_block: 5,
         tau: 0.3,
         measure_every: 1,
-        batching: qmc_drivers::Batching::PerWalker,
     };
-    let res = run_vmc(&mut engine, &mut walkers, &params);
+    let (res, _) = run_vmc(
+        std::slice::from_mut(&mut engine),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     assert!(res.samples > 0);
     let stats = take_sanitizer_stats();
     assert!(

@@ -3,7 +3,8 @@
 
 use qmc_containers::{Pos, TinyVector};
 use qmc_drivers::{
-    initial_population, run_dmc, run_vmc, DmcParams, HamiltonianSet, QmcEngine, VmcParams,
+    initial_population, run_dmc, run_vmc, DmcParams, HamiltonianSet, QmcEngine, RunControl,
+    VmcParams, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
@@ -55,16 +56,17 @@ fn acceptance_approaches_one_as_tau_vanishes() {
     // balance accepts almost everything.
     let (mut eng, pos) = engine(4, 1);
     let mut walkers = initial_population::<f64>(&pos, 2, 5);
-    let res = run_vmc(
-        &mut eng,
+    let (res, _) = run_vmc(
+        std::slice::from_mut(&mut eng),
         &mut walkers,
         &VmcParams {
             blocks: 1,
             steps_per_block: 10,
             tau: 1e-6,
             measure_every: 5,
-            ..Default::default()
         },
+        None,
+        &mut RunControl::none(),
     );
     assert!(res.acceptance > 0.99, "acceptance {}", res.acceptance);
 }
@@ -75,32 +77,36 @@ fn acceptance_drops_for_large_tau() {
     let small = {
         let mut walkers = initial_population::<f64>(&pos, 2, 7);
         run_vmc(
-            &mut eng,
+            std::slice::from_mut(&mut eng),
             &mut walkers,
             &VmcParams {
                 blocks: 1,
                 steps_per_block: 10,
                 tau: 0.05,
                 measure_every: 5,
-                ..Default::default()
             },
+            None,
+            &mut RunControl::none(),
         )
+        .0
         .acceptance
     };
     let (mut eng2, pos2) = engine(4, 2);
     let large = {
         let mut walkers = initial_population::<f64>(&pos2, 2, 7);
         run_vmc(
-            &mut eng2,
+            std::slice::from_mut(&mut eng2),
             &mut walkers,
             &VmcParams {
                 blocks: 1,
                 steps_per_block: 10,
                 tau: 2.0,
                 measure_every: 5,
-                ..Default::default()
             },
+            None,
+            &mut RunControl::none(),
         )
+        .0
         .acceptance
     };
     assert!(
@@ -115,8 +121,8 @@ fn dmc_population_feedback_recovers_from_overpopulation() {
     // Start with 3x the target population: feedback must shrink it toward
     // the target without extinction.
     let mut walkers = initial_population::<f64>(&pos, 24, 11);
-    let res = run_dmc(
-        &mut eng,
+    let (res, _) = run_dmc(
+        std::slice::from_mut(&mut eng),
         &mut walkers,
         &DmcParams {
             steps: 30,
@@ -127,6 +133,8 @@ fn dmc_population_feedback_recovers_from_overpopulation() {
             seed: 13,
             ..Default::default()
         },
+        None,
+        &mut RunControl::none(),
     );
     let final_pop = *res.population.last().unwrap();
     assert!(
@@ -144,9 +152,14 @@ fn vmc_samples_counted_correctly() {
         steps_per_block: 5,
         tau: 0.2,
         measure_every: 1,
-        ..Default::default()
     };
-    let res = run_vmc(&mut eng, &mut walkers, &params);
+    let (res, _) = run_vmc(
+        std::slice::from_mut(&mut eng),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     // 2 blocks x 5 steps x 3 walkers sweeps; one measurement per sweep.
     assert_eq!(res.samples, 30);
     assert_eq!(res.energy.len(), 30);
@@ -165,8 +178,45 @@ fn dmc_warmup_excluded_from_statistics() {
         seed: 21,
         ..Default::default()
     };
-    let res = run_dmc(&mut eng, &mut walkers, &params);
+    let (res, _) = run_dmc(
+        std::slice::from_mut(&mut eng),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     // Only steps 4..10 contribute estimator samples.
     assert_eq!(res.energy.len(), 6);
     assert_eq!(res.population.len(), 10);
+}
+
+#[test]
+fn empty_population_generation_is_a_noop() {
+    let (mut eng, _) = engine(3, 6);
+    let mut walkers: Vec<Walker<f64>> = Vec::new();
+    let (dmc, _) = run_dmc(
+        std::slice::from_mut(&mut eng),
+        &mut walkers,
+        &DmcParams {
+            steps: 2,
+            warmup: 0,
+            target_population: 4,
+            ..Default::default()
+        },
+        None,
+        &mut RunControl::none(),
+    );
+    assert_eq!((dmc.samples, dmc.acceptance), (0, 0.0));
+    assert_eq!(dmc.population, vec![0, 0]);
+
+    let (vmc, _) = run_vmc(
+        std::slice::from_mut(&mut eng),
+        &mut walkers,
+        &VmcParams::default(),
+        None,
+        &mut RunControl::none(),
+    );
+    assert_eq!((vmc.samples, vmc.acceptance), (0, 0.0));
+    assert!(vmc.energy.is_empty());
+    assert!(walkers.is_empty());
 }

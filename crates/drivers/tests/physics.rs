@@ -8,7 +8,7 @@
 
 use qmc_containers::{Pos, TinyVector};
 use qmc_drivers::{
-    initial_population, run_dmc, run_dmc_parallel, run_vmc, DmcParams, HamiltonianSet, QmcEngine,
+    initial_population, run_dmc, run_vmc, DmcParams, HamiltonianSet, QmcEngine, RunControl,
     VmcParams,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
@@ -109,9 +109,14 @@ fn vmc_eigenstate_energy_is_exact() {
         steps_per_block: 10,
         tau: 0.3,
         measure_every: 1,
-        ..Default::default()
     };
-    let res = run_vmc(&mut engine, &mut walkers, &params);
+    let (res, _) = run_vmc(
+        std::slice::from_mut(&mut engine),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     let (mean, _, _) = res.energy.blocking();
     assert!(
         (mean - exact).abs() < 1e-7,
@@ -140,7 +145,13 @@ fn dmc_eigenstate_energy_and_population_stable() {
         seed: 99,
         ..Default::default()
     };
-    let res = run_dmc(&mut engine, &mut walkers, &params);
+    let (res, _) = run_dmc(
+        std::slice::from_mut(&mut engine),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     let (mean, _, _) = res.energy.blocking();
     assert!((mean - exact).abs() < 1e-7, "DMC {mean} vs {exact}");
     // Population bounded around target.
@@ -167,7 +178,13 @@ fn dmc_delayed_updates_match_exact_energy() {
         seed: 23,
         ..Default::default()
     };
-    let res = run_dmc(&mut engine, &mut walkers, &params);
+    let (res, _) = run_dmc(
+        std::slice::from_mut(&mut engine),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     let (mean, _, _) = res.energy.blocking();
     assert!((mean - exact).abs() < 1e-7, "delayed DMC {mean} vs {exact}");
 }
@@ -190,7 +207,13 @@ fn parallel_dmc_matches_exact_energy_and_merges_profile() {
         seed: 41,
         ..Default::default()
     };
-    let (res, profile) = run_dmc_parallel(&mut engines, &mut walkers, &params);
+    let (res, profile) = run_dmc(
+        &mut engines,
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     let (mean, _, _) = res.energy.blocking();
     assert!(
         (mean - exact).abs() < 1e-7,

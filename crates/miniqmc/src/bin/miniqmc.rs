@@ -12,9 +12,9 @@
 //! ```
 
 use miniqmc::Options;
-use qmc_crowd::{run_vmc_crowd_controlled, Crowd};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, population_digest, run_vmc_controlled, Batching, CheckpointSpec,
+    initial_population, population_digest, run_vmc, Batching, CheckpointSpec, QmcEngine,
     RunControl, VmcParams,
 };
 use qmc_instrument::{
@@ -146,7 +146,8 @@ fn main() {
     }
     let crowd = opts.get("crowd", 0usize);
     let cfg = RunConfig {
-        threads: opts.get("threads", 2usize),
+        // The drivers run at least one engine or crowd; report what runs.
+        threads: opts.get("threads", 2usize).max(1),
         walkers: opts.get("walkers", 8usize),
         steps: opts.get("steps", 10usize),
         warmup: opts.get("warmup", 2usize),
@@ -361,10 +362,10 @@ fn write_trace(path: &str) {
     }
 }
 
-/// VMC mode: a variational run with per-block recompute — one engine, or
-/// one lock-step crowd when `--crowd W` is given (results are identical).
-/// Checkpoint/resume/stream work exactly as in DMC mode, against VMC
-/// checkpoints.
+/// VMC mode: a variational run with per-block recompute on `--threads`
+/// engines, or as many lock-step crowds when `--crowd W` is given
+/// (results are identical). Checkpoint/resume/stream work exactly as in
+/// DMC mode, against VMC checkpoints.
 fn run_vmc_mode(
     workload: &Workload,
     code: CodeVersion,
@@ -379,7 +380,6 @@ fn run_vmc_mode(
         steps_per_block: 4,
         tau: cfg.tau.max(0.05),
         measure_every: 1,
-        batching: cfg.batching,
     };
     println!(
         "driver = VMC: {} blocks x {} sweeps",
@@ -412,7 +412,7 @@ fn run_vmc_mode(
                     workload.spec.name,
                     &code.label(),
                     code.kernel_backend().label(),
-                    1,
+                    cfg.threads,
                     cfg.walkers,
                     params.blocks,
                     resume_state.as_ref().map(|st| st.block as u64),
@@ -443,23 +443,23 @@ fn run_vmc_mode(
                 },
             };
             let t0 = std::time::Instant::now();
-            let res = match cfg.batching {
+            let (res, _) = match cfg.batching {
                 Batching::PerWalker => {
-                    let mut engine = $build;
-                    run_vmc_controlled(
-                        &mut engine,
+                    let mut engines: Vec<QmcEngine<_>> = (0..cfg.threads).map(|_| $build).collect();
+                    run_vmc(
+                        &mut engines,
                         &mut walkers,
                         &params,
                         resume_state,
                         &mut control,
                     )
                 }
-                Batching::Crowd(_) => {
-                    let slots = (0..cfg.batching.crowd_size()).map(|_| $build).collect();
-                    let mut crowd = Crowd::new(slots);
-                    crowd.set_fused_refresh(cfg.fused_refresh);
-                    run_vmc_crowd_controlled(
-                        &mut crowd,
+                Batching::Crowd(w) => {
+                    let mut crowds = CrowdScheduler::new(cfg.threads, w)
+                        .with_fused_refresh(cfg.fused_refresh)
+                        .build_crowds(|| $build);
+                    run_vmc(
+                        &mut crowds,
                         &mut walkers,
                         &params,
                         resume_state,

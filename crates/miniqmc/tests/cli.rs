@@ -448,3 +448,49 @@ fn profiling_modes_do_not_change_results() {
         "json mean {mean} not consistent with summary: {e_summary}"
     );
 }
+
+/// `--driver vmc` runs on `--threads` engines (or as many crowds), gives
+/// the same walkers as a single engine, and says how many ran.
+#[test]
+fn vmc_runs_on_the_requested_threads() {
+    let nd =
+        std::env::temp_dir().join(format!("miniqmc_vmc_threads_{}.ndjson", std::process::id()));
+    let run = |threads: &str, extra: &[&str]| {
+        let out = miniqmc()
+            .args([
+                "--driver",
+                "vmc",
+                "--benchmark",
+                "graphite",
+                "--walkers",
+                "5",
+            ])
+            .args(["--steps", "8", "--seed", "3", "--threads", threads])
+            .args(extra)
+            .output()
+            .expect("spawn miniqmc");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        walker_hash_line(&out.stdout)
+    };
+    let one = run("1", &[]);
+    let three = run("3", &["--stream", &nd.display().to_string()]);
+    assert_eq!(one, three, "VMC walkers depend on the thread count");
+    assert_eq!(
+        one,
+        run("3", &["--crowd", "2"]),
+        "crowds changed VMC walkers"
+    );
+
+    let text = std::fs::read_to_string(&nd).expect("stream written");
+    let _ = std::fs::remove_file(&nd);
+    let start = json::parse(text.lines().next().expect("start record")).unwrap();
+    assert_eq!(start.get("event").and_then(|e| e.as_str()), Some("start"));
+    assert_eq!(
+        start.get("threads").and_then(json::JsonValue::as_f64),
+        Some(3.0)
+    );
+}

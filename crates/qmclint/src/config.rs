@@ -51,9 +51,10 @@ pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "node_modules", "shims"];
 
 /// Root modules of the lock-order rule: every function defined here (and
 /// everything reachable from it through the call graph) must agree on one
-/// acquisition order per lock pair. The crowd scheduler is the only place
-/// the lock-step drivers hold more than one `parking_lot` lock at a time.
-pub const LOCK_ROOTS: [&str; 1] = ["crates/crowd/"];
+/// acquisition order per lock pair. The crew fan-out is where the drivers
+/// take `parking_lot` locks; the crowd crate stays a root so a lock added
+/// to the lock-step path is checked too.
+pub const LOCK_ROOTS: [&str; 2] = ["crates/crowd/", "crates/drivers/src/crew.rs"];
 
 /// Designated mixed-precision modules (ISSUE rule 1): the only places a
 /// raw `as f32`/`as f64` cast or suffixed float literal is legal without a
@@ -336,34 +337,15 @@ pub struct SchedRoot {
 /// The schedule-coverage registry: every non-test parallel entry point in
 /// a physics crate must have a row here, and every row must point at a
 /// live case that still (transitively) mentions the witness identifier.
-/// `run_multi_rank` spawns OS threads directly (`std::thread::scope` —
+/// `fan_out` is the one thread fan-out of the VMC and DMC drivers, for
+/// every crew type. `run_multi_rank` spawns OS threads directly (`std::thread::scope` —
 /// barrier synchronization would deadlock under the shim's serial
 /// schedules), so its case exercises it without a schedule sweep.
-pub const SCHED_ROOTS: [SchedRoot; 8] = [
+pub const SCHED_ROOTS: [SchedRoot; 4] = [
     SchedRoot {
-        entry: "parallel_generation",
+        entry: "fan_out",
         case: "explore_dmc_parallel",
-        via: "run_dmc_parallel",
-    },
-    SchedRoot {
-        entry: "run_vmc_parallel",
-        case: "explore_vmc",
-        via: "run_vmc_parallel",
-    },
-    SchedRoot {
-        entry: "run_dmc_parallel_controlled",
-        case: "explore_dmc_parallel",
-        via: "run_dmc_parallel",
-    },
-    SchedRoot {
-        entry: "generation",
-        case: "explore_dmc_crowd",
-        via: "run_dmc_crowd",
-    },
-    SchedRoot {
-        entry: "run_dmc_crowd_controlled",
-        case: "explore_dmc_crowd",
-        via: "run_dmc_crowd",
+        via: "run_dmc",
     },
     SchedRoot {
         entry: "run_multi_rank",
@@ -459,7 +441,7 @@ mod tests {
             }
         }
         assert_eq!(
-            sched_root("parallel_generation").map(|r| r.case),
+            sched_root("fan_out").map(|r| r.case),
             Some("explore_dmc_parallel")
         );
         assert!(sched_root("not_a_parallel_entry").is_none());

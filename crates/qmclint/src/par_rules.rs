@@ -619,7 +619,7 @@ mod tests {
         let (diags, par) = run(&[
             (
                 "crates/drivers/src/parallel.rs",
-                "pub fn parallel_generation(scope: &Scope) {\n\
+                "pub fn fan_out(scope: &Scope) {\n\
                      for t in 0..2 {\n\
                          scope.spawn(move || { work(t); });\n\
                      }\n\
@@ -628,8 +628,8 @@ mod tests {
             ),
             (
                 "crates/qmcsched/src/lib.rs",
-                "pub fn explore_dmc_parallel() { run_dmc_parallel(); }\n\
-                 fn run_dmc_parallel() {}\n",
+                "pub fn explore_dmc_parallel() { run_dmc(); }\n\
+                 fn run_dmc() {}\n",
                 UTIL,
             ),
         ]);
@@ -640,7 +640,7 @@ mod tests {
         let (diags, _) = run(&[
             (
                 "crates/drivers/src/parallel.rs",
-                "pub fn parallel_generation(scope: &Scope) {\n\
+                "pub fn fan_out(scope: &Scope) {\n\
                      for t in 0..2 {\n\
                          scope.spawn(move || { work(t); });\n\
                      }\n\

@@ -21,10 +21,10 @@
 #![forbid(unsafe_code)]
 
 use qmc_containers::Real;
-use qmc_crowd::{run_dmc_crowd, run_vmc_crowd, CrowdScheduler};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, run_dmc_parallel, run_multi_rank, run_vmc_parallel, Batching, DmcParams,
-    MultiRankParams, QmcEngine, VmcParams, Walker,
+    initial_population, run_dmc, run_multi_rank, run_vmc, Batching, DmcParams, MultiRankParams,
+    QmcEngine, RunControl, VmcParams, Walker,
 };
 use qmc_instrument::json::JsonWriter;
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
@@ -126,7 +126,6 @@ pub fn explore_vmc(cfg: &HarnessConfig) -> DriverParity {
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching: Batching::PerWalker,
     };
     let runs = schedules()
         .into_iter()
@@ -136,7 +135,13 @@ pub fn explore_vmc(cfg: &HarnessConfig) -> DriverParity {
                     .map(|_| w.build_engine_f32(CodeVersion::Current))
                     .collect();
                 let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
+                let (res, _) = run_vmc(
+                    &mut engines,
+                    &mut walkers,
+                    &params,
+                    None,
+                    &mut RunControl::none(),
+                );
                 vmc_fingerprint(sched.label(), &walkers, &res)
             })
         })
@@ -207,7 +212,13 @@ pub fn explore_dmc_parallel(cfg: &HarnessConfig) -> DriverParity {
                     .map(|_| w.build_engine_f32(CodeVersion::Current))
                     .collect();
                 let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let (res, _profile) = run_dmc_parallel(&mut engines, &mut walkers, &params);
+                let (res, _profile) = run_dmc(
+                    &mut engines,
+                    &mut walkers,
+                    &params,
+                    None,
+                    &mut RunControl::none(),
+                );
                 dmc_fingerprint(sched.label(), &walkers, &res)
             })
         })
@@ -230,7 +241,13 @@ pub fn explore_dmc_crowd(cfg: &HarnessConfig) -> DriverParity {
                 let mut crowds =
                     scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
                 let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let (res, _profile) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
+                let (res, _profile) = run_dmc(
+                    &mut crowds,
+                    &mut walkers,
+                    &params,
+                    None,
+                    &mut RunControl::none(),
+                );
                 dmc_fingerprint(sched.label(), &walkers, &res)
             })
         })
@@ -255,7 +272,6 @@ pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching: Batching::PerWalker,
     };
     let prev = qmc_kernels::Backend::current();
     let runs = [qmc_kernels::Backend::Reference, qmc_kernels::Backend::Soa]
@@ -268,7 +284,13 @@ pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
             let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
+            let (res, _) = run_vmc(
+                &mut engines,
+                &mut walkers,
+                &params,
+                None,
+                &mut RunControl::none(),
+            );
             let mut scalars = Fnv::new();
             scalars.f64(res.energy.mean());
             scalars.f64(res.acceptance);
@@ -324,7 +346,6 @@ pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching: Batching::PerWalker,
     };
     let prev = qmc_kernels::Backend::current();
     let run = |backend: qmc_kernels::Backend| {
@@ -333,7 +354,13 @@ pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
             .map(|_| w.build_engine_f32(CodeVersion::Current))
             .collect();
         let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-        let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
+        let (res, _) = run_vmc(
+            &mut engines,
+            &mut walkers,
+            &params,
+            None,
+            &mut RunControl::none(),
+        );
         (res.energy.mean(), res.energy.variance(), res.samples)
     };
     let (e_ref, var_ref, n_ref) = run(qmc_kernels::Backend::Reference);
@@ -363,15 +390,14 @@ pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
     let w = workload(cfg.seed);
     let threads = [1usize, 2, 4];
 
-    // VMC, per-walker batching at each thread count, plus the crowd-
-    // batched driver: both are documented bitwise identical to the
-    // single-engine `run_vmc`, so one parity set covers both batchings.
+    // VMC, per-walker batching at each thread count, plus one crowd of
+    // two: all are documented bitwise identical to a crew of one engine,
+    // so one parity set covers both batchings.
     let vmc_params = VmcParams {
         blocks: cfg.steps,
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching: Batching::PerWalker,
     };
     let mut vmc_runs: Vec<RunFingerprint> = threads
         .iter()
@@ -380,19 +406,27 @@ pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
             let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let res = run_vmc_parallel(&mut engines, &mut walkers, &vmc_params);
+            let (res, _) = run_vmc(
+                &mut engines,
+                &mut walkers,
+                &vmc_params,
+                None,
+                &mut RunControl::none(),
+            );
             vmc_fingerprint(format!("threads:{t}"), &walkers, &res)
         })
         .collect();
     {
-        let crowd_params = VmcParams {
-            batching: Batching::Crowd(2),
-            ..vmc_params
-        };
         let mut crowds =
             CrowdScheduler::new(1, 2).build_crowds(|| w.build_engine_f32(CodeVersion::Current));
         let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-        let res = run_vmc_crowd(&mut crowds[0], &mut walkers, &crowd_params);
+        let (res, _) = run_vmc(
+            &mut crowds,
+            &mut walkers,
+            &vmc_params,
+            None,
+            &mut RunControl::none(),
+        );
         vmc_runs.push(vmc_fingerprint("crowd:2".into(), &walkers, &res));
     }
 
@@ -407,7 +441,13 @@ pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
             let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let (res, _profile) = run_dmc_parallel(&mut engines, &mut walkers, &dmc_pw);
+            let (res, _profile) = run_dmc(
+                &mut engines,
+                &mut walkers,
+                &dmc_pw,
+                None,
+                &mut RunControl::none(),
+            );
             dmc_fingerprint(format!("threads:{t}"), &walkers, &res)
         })
         .collect();
@@ -421,7 +461,13 @@ pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
             let scheduler = CrowdScheduler::new(t, 2);
             let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
             let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let (res, _profile) = run_dmc_crowd(&mut crowds, &mut walkers, &dmc_cw);
+            let (res, _profile) = run_dmc(
+                &mut crowds,
+                &mut walkers,
+                &dmc_cw,
+                None,
+                &mut RunControl::none(),
+            );
             dmc_fingerprint(format!("threads:{t}"), &walkers, &res)
         })
         .collect();

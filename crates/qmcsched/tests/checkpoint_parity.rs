@@ -4,16 +4,17 @@
 //! run checkpointed at an interior generation and resumed from the file
 //! must finish with per-walker full-state digests (walker buffers,
 //! positions, weight, age AND raw RNG words) identical to the straight
-//! run's — plus equal scalar outputs.
+//! run's — plus equal scalar outputs. VMC runs each case on one engine
+//! (or crowd) and on a crew of `THREADS`.
 //!
 //! All cases live in ONE `#[test]`: `qmc_kernels::set_backend` is
 //! process-global, and cargo runs tests within a binary concurrently.
 
-use qmc_crowd::{run_dmc_crowd_controlled, run_vmc_crowd_controlled, Crowd, CrowdScheduler};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc_parallel_controlled,
-    run_vmc_controlled, walker_digest_full, Batching, CheckpointSpec, DmcParams, QmcEngine,
-    RunControl, VmcParams, Walker,
+    initial_population, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc, run_vmc,
+    walker_digest_full, Batching, CheckpointSpec, DmcParams, QmcEngine, RunControl, VmcParams,
+    VmcResult, VmcState, Walker,
 };
 use qmc_kernels::Backend;
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
@@ -53,13 +54,12 @@ fn dmc_params(steps: usize, batching: Batching) -> DmcParams {
     }
 }
 
-fn vmc_params(blocks: usize, batching: Batching) -> VmcParams {
+fn vmc_params(blocks: usize) -> VmcParams {
     VmcParams {
         blocks,
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching,
     }
 }
 
@@ -73,7 +73,7 @@ fn dmc_straight(w: &Workload, batching: Batching, fused: bool) -> (Vec<u64>, (f6
             let mut engines: Vec<QmcEngine<f32>> = (0..THREADS)
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
-            let (res, _) = run_dmc_parallel_controlled(
+            let (res, _) = run_dmc(
                 &mut engines,
                 &mut walkers,
                 &params,
@@ -85,7 +85,7 @@ fn dmc_straight(w: &Workload, batching: Batching, fused: bool) -> (Vec<u64>, (f6
         Batching::Crowd(c) => {
             let scheduler = CrowdScheduler::new(THREADS, c).with_fused_refresh(fused);
             let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-            let (res, _) = run_dmc_crowd_controlled(
+            let (res, _) = run_dmc(
                 &mut crowds,
                 &mut walkers,
                 &params,
@@ -122,13 +122,13 @@ fn dmc_resumed(
                 let mut engines: Vec<QmcEngine<f32>> = (0..THREADS)
                     .map(|_| w.build_engine_f32(CodeVersion::Current))
                     .collect();
-                run_dmc_parallel_controlled(&mut engines, &mut walkers, &params, None, &mut ctl);
+                run_dmc(&mut engines, &mut walkers, &params, None, &mut ctl);
             }
             Batching::Crowd(c) => {
                 let scheduler = CrowdScheduler::new(THREADS, c).with_fused_refresh(fused);
                 let mut crowds =
                     scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-                run_dmc_crowd_controlled(&mut crowds, &mut walkers, &params, None, &mut ctl);
+                run_dmc(&mut crowds, &mut walkers, &params, None, &mut ctl);
             }
         }
     }
@@ -140,7 +140,7 @@ fn dmc_resumed(
             let mut engines: Vec<QmcEngine<f32>> = (0..THREADS)
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
-            let (res, _) = run_dmc_parallel_controlled(
+            let (res, _) = run_dmc(
                 &mut engines,
                 &mut walkers,
                 &params,
@@ -152,7 +152,7 @@ fn dmc_resumed(
         Batching::Crowd(c) => {
             let scheduler = CrowdScheduler::new(THREADS, c).with_fused_refresh(fused);
             let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-            let (res, _) = run_dmc_crowd_controlled(
+            let (res, _) = run_dmc(
                 &mut crowds,
                 &mut walkers,
                 &params,
@@ -168,36 +168,43 @@ fn dmc_resumed(
     )
 }
 
-/// Straight VMC run of `STEPS` blocks.
-fn vmc_straight(w: &Workload, batching: Batching, fused: bool) -> (Vec<u64>, (f64, f64, u64)) {
-    let params = vmc_params(STEPS, batching);
-    let mut walkers = initial_population(w.initial_positions(), WALKERS, SEED);
-    let res = match batching {
+/// One VMC run on `threads` engines, or `threads` crowds of `c` walkers.
+fn vmc_run(
+    w: &Workload,
+    (batching, fused, threads): (Batching, bool, usize),
+    walkers: &mut [Walker<f32>],
+    params: &VmcParams,
+    resume: Option<VmcState>,
+    ctl: &mut RunControl<'_>,
+) -> VmcResult {
+    let (res, _) = match batching {
         Batching::PerWalker => {
-            let mut engine = w.build_engine_f32(CodeVersion::Current);
-            run_vmc_controlled(
-                &mut engine,
-                &mut walkers,
-                &params,
-                None,
-                &mut RunControl::none(),
-            )
-        }
-        Batching::Crowd(c) => {
-            let slots = (0..c)
+            let mut engines: Vec<QmcEngine<f32>> = (0..threads)
                 .map(|_| w.build_engine_f32(CodeVersion::Current))
                 .collect();
-            let mut crowd = Crowd::new(slots);
-            crowd.set_fused_refresh(fused);
-            run_vmc_crowd_controlled(
-                &mut crowd,
-                &mut walkers,
-                &params,
-                None,
-                &mut RunControl::none(),
-            )
+            run_vmc(&mut engines, walkers, params, resume, ctl)
+        }
+        Batching::Crowd(c) => {
+            let scheduler = CrowdScheduler::new(threads, c).with_fused_refresh(fused);
+            let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
+            run_vmc(&mut crowds, walkers, params, resume, ctl)
         }
     };
+    res
+}
+
+/// Straight VMC run of `STEPS` blocks.
+fn vmc_straight(w: &Workload, crew: (Batching, bool, usize)) -> (Vec<u64>, (f64, f64, u64)) {
+    let params = vmc_params(STEPS);
+    let mut walkers = initial_population(w.initial_positions(), WALKERS, SEED);
+    let res = vmc_run(
+        w,
+        crew,
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    );
     (
         digests(&walkers),
         (res.energy.mean(), res.acceptance, res.samples),
@@ -207,61 +214,29 @@ fn vmc_straight(w: &Workload, batching: Batching, fused: bool) -> (Vec<u64>, (f6
 /// VMC killed after `CUT` blocks, resumed from the file to `STEPS`.
 fn vmc_resumed(
     w: &Workload,
-    batching: Batching,
-    fused: bool,
+    crew: (Batching, bool, usize),
     path: &str,
 ) -> (Vec<u64>, (f64, f64, u64)) {
     {
-        let params = vmc_params(CUT, batching);
+        let params = vmc_params(CUT);
         let mut walkers = initial_population(w.initial_positions(), WALKERS, SEED);
         let mut ctl = RunControl {
             checkpoint: Some(spec_at_cut(path)),
             on_block: None,
         };
-        match batching {
-            Batching::PerWalker => {
-                let mut engine = w.build_engine_f32(CodeVersion::Current);
-                run_vmc_controlled(&mut engine, &mut walkers, &params, None, &mut ctl);
-            }
-            Batching::Crowd(c) => {
-                let slots = (0..c)
-                    .map(|_| w.build_engine_f32(CodeVersion::Current))
-                    .collect();
-                let mut crowd = Crowd::new(slots);
-                crowd.set_fused_refresh(fused);
-                run_vmc_crowd_controlled(&mut crowd, &mut walkers, &params, None, &mut ctl);
-            }
-        }
+        vmc_run(w, crew, &mut walkers, &params, None, &mut ctl);
     }
     let (state, mut walkers) = read_vmc_checkpoint::<f32>(path).expect("read VMC checkpoint");
     assert_eq!(state.block, CUT, "checkpoint captured the interior block");
-    let params = vmc_params(STEPS, batching);
-    let res = match batching {
-        Batching::PerWalker => {
-            let mut engine = w.build_engine_f32(CodeVersion::Current);
-            run_vmc_controlled(
-                &mut engine,
-                &mut walkers,
-                &params,
-                Some(state),
-                &mut RunControl::none(),
-            )
-        }
-        Batching::Crowd(c) => {
-            let slots = (0..c)
-                .map(|_| w.build_engine_f32(CodeVersion::Current))
-                .collect();
-            let mut crowd = Crowd::new(slots);
-            crowd.set_fused_refresh(fused);
-            run_vmc_crowd_controlled(
-                &mut crowd,
-                &mut walkers,
-                &params,
-                Some(state),
-                &mut RunControl::none(),
-            )
-        }
-    };
+    let params = vmc_params(STEPS);
+    let res = vmc_run(
+        w,
+        crew,
+        &mut walkers,
+        &params,
+        Some(state),
+        &mut RunControl::none(),
+    );
     (
         digests(&walkers),
         (res.energy.mean(), res.acceptance, res.samples),
@@ -293,17 +268,21 @@ fn checkpoint_resume_is_bitwise_across_drivers_batchings_and_backends() {
                 "DMC [{tag}]: scalar results diverged after resume"
             );
 
-            let path = scratch(&format!("vmc-{tag}.qmc"));
-            let (straight_w, straight_s) = vmc_straight(&w, batching, fused);
-            let (resumed_w, resumed_s) = vmc_resumed(&w, batching, fused, &path);
-            assert_eq!(
-                straight_w, resumed_w,
-                "VMC [{tag}]: per-walker full digests diverged after resume"
-            );
-            assert_eq!(
-                straight_s, resumed_s,
-                "VMC [{tag}]: scalar results diverged after resume"
-            );
+            for threads in [1, THREADS] {
+                let tag = format!("{tag}-threads{threads}");
+                let crew = (batching, fused, threads);
+                let path = scratch(&format!("vmc-{tag}.qmc"));
+                let (straight_w, straight_s) = vmc_straight(&w, crew);
+                let (resumed_w, resumed_s) = vmc_resumed(&w, crew, &path);
+                assert_eq!(
+                    straight_w, resumed_w,
+                    "VMC [{tag}]: per-walker full digests diverged after resume"
+                );
+                assert_eq!(
+                    straight_s, resumed_s,
+                    "VMC [{tag}]: scalar results diverged after resume"
+                );
+            }
         }
     }
     qmc_kernels::set_backend(saved);
@@ -329,7 +308,7 @@ fn dmc_checkpoint_resumes_bitwise_across_batching_modes() {
             checkpoint: Some(spec_at_cut(&path)),
             on_block: None,
         };
-        run_dmc_parallel_controlled(&mut engines, &mut walkers, &params, None, &mut ctl);
+        run_dmc(&mut engines, &mut walkers, &params, None, &mut ctl);
     }
 
     // ...and restart it under crowd batching. Same answer, to the bit.
@@ -337,7 +316,7 @@ fn dmc_checkpoint_resumes_bitwise_across_batching_modes() {
     let params = dmc_params(STEPS, Batching::Crowd(2));
     let scheduler = CrowdScheduler::new(THREADS, 2);
     let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-    let (res, _) = run_dmc_crowd_controlled(
+    let (res, _) = run_dmc(
         &mut crowds,
         &mut walkers,
         &params,

@@ -5,10 +5,10 @@
 
 use crate::build::{CodeVersion, Workload};
 use qmc_containers::Real;
-use qmc_crowd::{run_dmc_crowd_controlled, CrowdScheduler};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, population_digest, read_dmc_checkpoint, run_dmc_parallel_controlled,
-    Batching, CheckpointError, CheckpointSpec, DmcParams, DmcState, QmcEngine, RunControl, Walker,
+    initial_population, population_digest, read_dmc_checkpoint, run_dmc, Batching, CheckpointError,
+    CheckpointSpec, DmcParams, DmcState, QmcEngine, RunControl, Walker,
 };
 use qmc_instrument::{
     take_drift_stats, take_sanitizer_stats, BlockEvent, DriftStats, Profile, RunReport,
@@ -241,7 +241,7 @@ fn run_generic_controlled<T: Real>(
         Batching::PerWalker => {
             let mut engines: Vec<QmcEngine<T>> = (0..threads).map(|_| build_engine()).collect();
             let t0 = std::time::Instant::now();
-            let (r, p) = run_dmc_parallel_controlled(
+            let (r, p) = run_dmc(
                 &mut engines,
                 &mut walkers,
                 &params,
@@ -258,7 +258,7 @@ fn run_generic_controlled<T: Real>(
                 .with_fused_refresh(cfg.fused_refresh);
             let mut crowds = sched.build_crowds(build_engine);
             let t0 = std::time::Instant::now();
-            let (r, p) = run_dmc_crowd_controlled(
+            let (r, p) = run_dmc(
                 &mut crowds,
                 &mut walkers,
                 &params,

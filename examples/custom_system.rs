@@ -133,8 +133,8 @@ fn main() {
     let mut engine = QmcEngine::new(electrons, psi, ham);
     println!("custom system: {}", engine.psi.describe());
     let mut walkers = initial_population::<f64>(&e_init, 6, 19);
-    let res = run_dmc(
-        &mut engine,
+    let (res, _) = run_dmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &DmcParams {
             steps: 30,
@@ -145,6 +145,8 @@ fn main() {
             seed: 5,
             ..Default::default()
         },
+        None,
+        &mut RunControl::none(),
     );
     let (e, err, _) = res.energy.blocking();
     println!(

@@ -57,16 +57,17 @@ fn main() {
 
     println!("free-electron determinant, N = {n}, L = {l}\n");
 
-    let vmc = run_vmc(
-        &mut engine,
+    let (vmc, _) = run_vmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &VmcParams {
             blocks: 4,
             steps_per_block: 15,
             tau: 0.3,
             measure_every: 1,
-            ..Default::default()
         },
+        None,
+        &mut RunControl::none(),
     );
     let (e_vmc, _, _) = vmc.energy.blocking();
     println!(
@@ -76,8 +77,8 @@ fn main() {
         vmc.acceptance
     );
 
-    let dmc = run_dmc(
-        &mut engine,
+    let (dmc, _) = run_dmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &DmcParams {
             steps: 40,
@@ -88,6 +89,8 @@ fn main() {
             seed: 77,
             ..Default::default()
         },
+        None,
+        &mut RunControl::none(),
     );
     let (e_dmc, err, tau_corr) = dmc.energy.blocking();
     println!(

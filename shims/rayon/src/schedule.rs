@@ -268,10 +268,17 @@ mod tests {
 
     #[test]
     fn active_restores_after_panic_free_run() {
-        assert_eq!(active(), Schedule::Concurrent);
+        // The schedule is process-global and sibling tests install their
+        // own, so read it only while no `with_schedule` can run. The guard
+        // is dropped before `with_schedule`, which takes it too.
+        let idle = || {
+            let _excl = lock(&EXCLUSIVE);
+            active()
+        };
+        assert_eq!(idle(), Schedule::Concurrent);
         with_schedule(Schedule::Serial(Order::Forward), || {
             assert_eq!(active(), Schedule::Serial(Order::Forward));
         });
-        assert_eq!(active(), Schedule::Concurrent);
+        assert_eq!(idle(), Schedule::Concurrent);
     }
 }
